@@ -26,10 +26,12 @@ EXIT_BUDGET = 3
 
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
-        w, h = text.lower().split("x")
-        return (int(w), int(h))
+        w, h = (int(v) for v in text.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 60x60, got {text!r}") from exc
+    if w < 1 or h < 1:
+        raise argparse.ArgumentTypeError(f"grid sizes must be positive, got {text!r}")
+    return (w, h)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -52,13 +54,18 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _error(exc: Exception) -> int:
+    """Report a rejected parameter (exit 2) or path budget (exit 3)."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_BUDGET if isinstance(exc, discrete.BudgetExceededError) else EXIT_USAGE
+
+
 def cmd_poly(args: argparse.Namespace) -> int:
     try:
         da = qtpoly.qt_catalan_dinv_area(args.n, args.m, budget=args.budget)
         ab = qtpoly.qt_catalan_area_bounce(args.n, args.m, budget=args.budget)
-    except discrete.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except (ValueError, discrete.BudgetExceededError) as exc:
+        return _error(exc)
     equal = da == ab
     symmetric = qtpoly.transpose(da) == da
     if args.format == "csv":
@@ -111,7 +118,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
+    try:
+        batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
+    except ValueError as exc:
+        return _error(exc)
     hist = measure.pushforward_histogram(batch, args.map, args.grid)
     summary = {
         "n": args.n,
@@ -127,12 +137,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if args.n == 4:
         exact = measure.density_n4_cell_integrals(args.grid)
         summary["l1_to_exact_density"] = measure.l1_distance(hist, exact)
-    if args.out:
-        _emit(hist.to_csv(), args.out)
-        sys.stdout.write(_dump_json(summary))
-    else:
-        sys.stdout.write(hist.to_csv())
-        sys.stdout.write(_dump_json(summary))
+    _emit(hist.to_csv(), args.out)
+    sys.stdout.write(_dump_json(summary))
     return EXIT_OK
 
 
@@ -146,9 +152,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
             seed=args.seed,
             budget=args.budget,
         )
-    except discrete.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except (ValueError, discrete.BudgetExceededError) as exc:
+        return _error(exc)
     _emit(_dump_json(report), args.out)
     return EXIT_OK
 

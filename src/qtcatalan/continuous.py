@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .discrete import MDyckPath, _bounce_runs, _dinv_vector
+from .discrete import MDyckPath, _bounce_stat, _dinv_vector
 
 __all__ = [
     "ContinuousPath",
@@ -254,13 +254,11 @@ def to_m_dyck(p: ContinuousPath, m: int) -> MDyckPath:
 
 def normalized_m_stats(p: ContinuousPath, m: int) -> tuple[Fraction, Fraction, Fraction]:
     """(area, dinv, bounce) of the corresponding m-Dyck path, divided by m."""
-    d = to_m_dyck(p, m)
-    av = d.area_vector
-    v, _ = _bounce_runs(av, m)
+    av = to_m_dyck(p, m).area_vector
     return (
         Fraction(sum(av), m),
         Fraction(_dinv_vector(av, m), m),
-        Fraction(sum(i * vi for i, vi in enumerate(v)), m),
+        Fraction(_bounce_stat(av, m), m),
     )
 
 

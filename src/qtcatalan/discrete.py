@@ -10,6 +10,7 @@ lattice picture is reconstructed whenever a simulation needs it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -64,8 +65,7 @@ class BouncePathM:
 
 
 def _validate_area_vector(n: int, m: int, av: Sequence[int]) -> None:
-    if n < 1 or m < 1:
-        raise InvalidPathError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    _check_size(n, m)
     if len(av) != n:
         raise InvalidPathError(f"area vector has length {len(av)}, expected {n}")
     if av[0] != 0:
@@ -86,18 +86,25 @@ def catalan_number_m(n: int, m: int) -> int:
     return q
 
 
+def _check_size(n: int, m: int, budget: int | None = None) -> None:
+    """Reject n < 1 or m < 1 (ValueError), and more than ``budget`` paths
+    (BudgetExceededError).  Every enumeration passes through here before
+    doing any work."""
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if budget is not None:
+        total = catalan_number_m(n, m)
+        if total > budget:
+            raise BudgetExceededError(f"(n={n}, m={m}) has {total} paths, budget is {budget}")
+
+
 def enumerate_m_dyck(n: int, m: int, budget: int | None = None) -> Iterator[MDyckPath]:
     """Yield every m-Dyck path of height n, lexicographically by area vector.
 
     Raises BudgetExceededError up front when the total count exceeds
     ``budget``.
     """
-    if budget is not None:
-        total = catalan_number_m(n, m)
-        if total > budget:
-            raise BudgetExceededError(
-                f"enumeration of (n={n}, m={m}) needs {total} paths, budget is {budget}"
-            )
+    _check_size(n, m, budget)
     for av in _enumerate_area_vectors(n, m):
         path = MDyckPath.__new__(MDyckPath)
         object.__setattr__(path, "n", n)
@@ -171,8 +178,6 @@ def _bounce_runs(av: Sequence[int], m: int) -> tuple[list[int], list[int]]:
     h: list[int] = []
     r = 0  # horizontal position
     y = 0  # height
-    import bisect
-
     while r < m * n:
         height = bisect.bisect_right(cols, r)
         v.append(height - y)
@@ -185,9 +190,13 @@ def _bounce_runs(av: Sequence[int], m: int) -> tuple[list[int], list[int]]:
     return v, h
 
 
-def bounce_m(p: MDyckPath) -> int:
-    v, _ = _bounce_runs(p.area_vector, p.m)
+def _bounce_stat(av: Sequence[int], m: int) -> int:
+    v, _ = _bounce_runs(av, m)
     return sum(i * vi for i, vi in enumerate(v))
+
+
+def bounce_m(p: MDyckPath) -> int:
+    return _bounce_stat(p.area_vector, p.m)
 
 
 def phi_m(p: MDyckPath) -> MDyckPath:

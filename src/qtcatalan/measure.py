@@ -19,7 +19,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .discrete import BudgetExceededError, catalan_number_m
+from .discrete import _check_size, catalan_number_m
 from .qtpoly import DiscreteMeasure
 
 __all__ = [
@@ -58,11 +58,8 @@ def polytope_volume(n: int) -> Fraction:
 def ehrhart_check(n: int, m: int, budget: int | None = None) -> dict:
     """Count 1/m-integral points of the area polytope by direct enumeration
     and compare with the higher Catalan number."""
+    _check_size(n, m, budget)
     expected = catalan_number_m(n, m)
-    if budget is not None and expected > budget:
-        raise BudgetExceededError(
-            f"(n={n}, m={m}) expects {expected} lattice points, budget is {budget}"
-        )
     # integer scaled coordinates c_i = m * a_i with 0 <= c_{i+1} <= c_i + m
     def count_from(level: int, prev: int) -> int:
         if level == n:
@@ -150,44 +147,33 @@ def batch_dinv(points: np.ndarray) -> np.ndarray:
 
 
 def batch_bounce_vector(points: np.ndarray) -> np.ndarray:
-    """Vectorized event-driven bounce parametrization (float).
+    """Vectorized bounce vector (float), by inverting the identity
 
-    Mirrors the exact simulation in continuous.bounce_vector: every sample
-    processes one event per sweep (take a north step, or expire one from the
-    trailing window), and all samples advance in lockstep.
+        a_j = sum_{i<j} sc(b_j - b_i) = sum_{i<j} max(1 + b_i - b_j, 0)
+
+    that area_vector_from_bounce and batch_transform_T evaluate.  The right
+    side is nonincreasing and piecewise linear in b_j, so b_1, ..., b_{n-1}
+    are solved in turn.  On the piece where the last k earlier coordinates
+    contribute, the root is (sum_{i >= j-k} (1 + b_i) - a_j) / k, valid when
+    b_{j-k-1} + 1 <= root <= b_{j-k} + 1.  Taking the smallest valid root
+    matches the north-step-first tie rule of continuous.bounce_vector.
     """
     points = np.asarray(points, dtype=float)
     count, n = points.shape
-    x = np.arange(n)[None, :] - points
     b = np.zeros((count, n))
-    t = np.zeros(count)
-    r = np.zeros(count)
-    taken = np.zeros(count, dtype=np.intp)
-    expired = np.zeros(count, dtype=np.intp)
-    live = taken < n
-    while live.any():
-        idx = np.nonzero(live)[0]
-        xj = x[idx, taken[idx]]
-        at_target = r[idx] >= xj - 1e-12
-        hit = idx[at_target]
-        b[hit, taken[hit]] = t[hit]
-        taken[hit] += 1
-        move = idx[~at_target]
-        if move.size:
-            speed = (taken[move] - expired[move]).astype(float)
-            if np.any(speed == 0):
-                raise ValueError("bounce parametrization stalled on invalid input")
-            t_target = t[move] + (x[move, taken[move]] - r[move]) / speed
-            t_expiry = b[move, expired[move]] + 1.0
-            expire_first = t_expiry < t_target
-            e = move[expire_first]
-            r[e] += speed[expire_first] * (t_expiry[expire_first] - t[e])
-            t[e] = t_expiry[expire_first]
-            expired[e] += 1
-            g = move[~expire_first]
-            r[g] = x[g, taken[g]]
-            t[g] = t_target[~expire_first]
-        live = taken < n
+    for j in range(1, n):
+        root = np.full(count, np.inf)
+        window = np.zeros(count)
+        for k in range(1, j + 1):
+            window += 1.0 + b[:, j - k]
+            cand = (window - points[:, j]) / k
+            ok = cand <= b[:, j - k] + (1.0 + 1e-12)
+            if k < j:
+                ok &= cand >= b[:, j - k - 1] + (1.0 - 1e-12)
+            root = np.where(ok, np.minimum(root, cand), root)
+        if not np.isfinite(root).all():
+            raise ValueError("no bounce vector solves the area identity; input is outside A_n")
+        b[:, j] = root
     return b
 
 
@@ -223,13 +209,13 @@ class Histogram2D:
         )
 
     def to_csv(self) -> str:
-        xs, ys = self.cell_edges()
+        # plain Python floats: numpy >= 2 spells its scalars np.float64(...)
+        xs, ys = (edges.tolist() for edges in self.cell_edges())
+        cells = self.cells.tolist()
         lines = ["x_lo,x_hi,y_lo,y_hi,weight"]
         for i in range(self.resolution[0]):
             for j in range(self.resolution[1]):
-                lines.append(
-                    f"{xs[i]!r},{xs[i + 1]!r},{ys[j]!r},{ys[j + 1]!r},{self.cells[i, j]!r}"
-                )
+                lines.append(f"{xs[i]!r},{xs[i + 1]!r},{ys[j]!r},{ys[j + 1]!r},{cells[i][j]!r}")
         return "\n".join(lines) + "\n"
 
     def transpose_deviation(self) -> float:
@@ -463,35 +449,23 @@ def convergence_report(
 
     if not m_list:
         raise ValueError("m_list must be nonempty")
-    if budget is not None:
-        for m in m_list:
-            expected = catalan_number_m(n, m)
-            if expected > budget:
-                raise BudgetExceededError(
-                    f"(n={n}, m={m}) needs {expected} paths, budget is {budget}"
-                )
-    total_weights = [Fraction(catalan_number_m(n, m), m ** (n - 1)) for m in m_list]
-    if n == 1:
-        return {
-            "n": n,
-            "m_list": list(m_list),
-            "seed": seed,
-            "grid": list(resolution),
-            "distances": [0.0 for _ in m_list],
-            "total_weights": [str(w) for w in total_weights],
-            "limit_weight": str(polytope_volume(n)),
-        }
-    bounds = default_bounds(n)
-    if n == 4:
-        reference = density_n4_cell_integrals(resolution, bounds)
-    else:
-        batch = sample_area_polytope(n, mc_count, seed)
-        reference = pushforward_histogram(batch, "dinv-area", resolution, bounds)
-    distances = []
     for m in m_list:
-        poly = qt_catalan_dinv_area(n, m, budget=budget)
-        binned = bin_discrete_measure(to_normalized_measure(poly, n, m), resolution, bounds)
-        distances.append(l1_distance(binned, reference))
+        _check_size(n, m, budget)
+    if n == 1:
+        distances = [0.0 for _ in m_list]
+    else:
+        bounds = default_bounds(n)
+        if n == 4:
+            reference = density_n4_cell_integrals(resolution, bounds)
+        else:
+            batch = sample_area_polytope(n, mc_count, seed)
+            reference = pushforward_histogram(batch, "dinv-area", resolution, bounds)
+        distances = []
+        for m in m_list:
+            poly = qt_catalan_dinv_area(n, m, budget=budget)
+            binned = bin_discrete_measure(to_normalized_measure(poly, n, m), resolution, bounds)
+            distances.append(l1_distance(binned, reference))
+    total_weights = [Fraction(catalan_number_m(n, m), m ** (n - 1)) for m in m_list]
     return {
         "n": n,
         "m_list": list(m_list),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .discrete import _dinv_vector, _enumerate_area_vectors, bounce_m, catalan_number_m, MDyckPath
+from .discrete import _bounce_stat, _check_size, _dinv_vector, _enumerate_area_vectors
 
 __all__ = [
     "QtPolynomial",
@@ -100,7 +100,7 @@ def _accumulate(pairs: Iterable[tuple[int, int]]) -> QtPolynomial:
 
 def qt_catalan_dinv_area(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^dinv(D) t^area(D) over all m-Dyck paths of height n."""
-    _check_budget(n, m, budget)
+    _check_size(n, m, budget)
     return _accumulate(
         (_dinv_vector(av, m), sum(av)) for av in _enumerate_area_vectors(n, m)
     )
@@ -108,23 +108,10 @@ def qt_catalan_dinv_area(n: int, m: int, budget: int | None = None) -> QtPolynom
 
 def qt_catalan_area_bounce(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^area(D) t^bounce(D) over all m-Dyck paths of height n."""
-    _check_budget(n, m, budget)
-    pairs = []
-    for av in _enumerate_area_vectors(n, m):
-        p = MDyckPath(n=n, m=m, area_vector=av)
-        pairs.append((sum(av), bounce_m(p)))
-    return _accumulate(pairs)
-
-
-def _check_budget(n: int, m: int, budget: int | None) -> None:
-    if budget is not None:
-        from .discrete import BudgetExceededError
-
-        total = catalan_number_m(n, m)
-        if total > budget:
-            raise BudgetExceededError(
-                f"(n={n}, m={m}) has {total} paths, budget is {budget}"
-            )
+    _check_size(n, m, budget)
+    return _accumulate(
+        (sum(av), _bounce_stat(av, m)) for av in _enumerate_area_vectors(n, m)
+    )
 
 
 def transpose(p: QtPolynomial) -> QtPolynomial:

@@ -20,24 +20,22 @@ def _report(num: int, name: str, ok: bool) -> None:
     assert ok, f"criterion {num} ({name}) failed"
 
 
+WORKED_EXAMPLE_CHECKS = {
+    "ref5-area", "ref5-dinv", "ref5-bounce", "ref5-bounce-path",
+    "worked-area", "worked-dinv", "worked-bounce-vector", "worked-bounce",
+    "worked-T", "worked-T-area", "worked-T-bounce",
+}
+
+
 def test_criterion_01_worked_example_exactness():
-    ok = True
-    p = discrete.MDyckPath(n=5, m=2, area_vector=(0, 1, 0, 2, 3))
-    ok &= discrete.area_m(p) == 6
-    ok &= discrete.dinv_m(p) == 7
-    ok &= discrete.bounce_m(p) == 11
-    bp = discrete.bounce_path_m(p)
-    ok &= (bp.v, bp.h) == ((1, 1, 0, 2, 1, 0), (1, 2, 1, 2, 3, 1))
-    c = continuous.ContinuousPath([0, F("0.6"), F("1.2"), F("0.5")])
-    ok &= continuous.area(c) == F(23, 10)
-    ok &= continuous.dinv(c) == F(5, 2)
-    ok &= continuous.bounce_vector(c).b == (F(0), F(2, 5), F(3, 5), F(5, 4))
-    ok &= continuous.bounce(c) == F(9, 4)
-    img = continuous.transform_T(c)
-    ok &= img.area_vector == (F(0), F(1, 2), F(13, 10), F(7, 10))
-    ok &= continuous.area(img) == F(5, 2)
-    ok &= continuous.bounce(img) == F(23, 10)
-    _report(1, "worked-example exactness", bool(ok))
+    # the expected values live once, in the CLI's verify registry
+    checks = {
+        name: passed
+        for name, passed in cli._verify_checks("fast")
+        if name.startswith(("ref5-", "worked-"))
+    }
+    ok = set(checks) == WORKED_EXAMPLE_CHECKS and all(checks.values())
+    _report(1, "worked-example exactness", ok)
 
 
 def test_criterion_02_count_identities():

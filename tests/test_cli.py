@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -146,3 +147,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run([], capsys)
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "--n", "0", "--m", "2"],
+            ["poly", "--n", "3", "--m", "0"],
+            ["converge", "--n", "4", "--m-list", "0"],
+            ["measure", "--n", "1"],
+            ["measure", "--n", "3", "--samples", "0"],
+            ["measure", "--n", "3", "--grid", "0x0"],
+        ],
+    )
+    def test_bad_parameters_exit_2(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # rejected by the argument parser itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "error: " in err.splitlines()[-1]
+
+
+class TestByteIdentity:
+    """SHA-256 of outputs pinned before the duplicate code paths were
+    removed; any change to these bytes must be declared."""
+
+    def test_poly_json(self, capsys):
+        code, out, _ = run(["poly", "--n", "5", "--m", "2"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f57bb44b63ce6c37364e70fa7de2274a6611a83b5df13b2ee1147cd2ec68ff99"
+        )
+
+    def test_measure_csv(self, capsys, tmp_path):
+        dest = tmp_path / "h.csv"
+        code, _, _ = run(
+            ["measure", "--n", "3", "--map", "area-bounce", "--samples", "20000",
+             "--seed", "11", "--grid", "12x12", "--out", str(dest)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "a81fd582f98e336b97febf7bdb830a1e43ecc4584a78186a50fb9311354bfb07"
+        )

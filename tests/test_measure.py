@@ -2,8 +2,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qtcatalan.continuous import ContinuousPath, area, bounce_vector, dinv, transform_T
+from qtcatalan.continuous import (
+    BounceVector,
+    ContinuousPath,
+    area,
+    area_vector_from_bounce,
+    bounce_vector,
+    dinv,
+    transform_T,
+)
 from qtcatalan.discrete import BudgetExceededError
 from qtcatalan.measure import (
     batch_area,
@@ -25,6 +34,30 @@ from qtcatalan.measure import (
     sample_area_polytope,
 )
 from qtcatalan.qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
+
+
+@st.composite
+def coarse_paths(draw, max_n=7):
+    """Paths on a coarse grid, where a_j = a_{j-1} + 1, a_j = 0 and equal
+    coordinates are frequent."""
+    n = draw(st.integers(2, max_n))
+    den = draw(st.integers(1, 4))
+    av = [F(0)]
+    for _ in range(n - 1):
+        av.append(F(draw(st.integers(0, int(av[-1] * den) + den)), den))
+    return ContinuousPath(av)
+
+
+@st.composite
+def unit_gap_paths(draw, max_n=7):
+    """Paths whose bounce vector has some b_j - b_i = 1."""
+    n = draw(st.integers(3, max_n))
+    den = draw(st.integers(1, 4))
+    b = [F(0)]
+    for _ in range(n - 1):
+        b.append(b[-1] + F(draw(st.integers(0, den)), den))
+    assume(any(y - x == 1 for i, x in enumerate(b) for y in b[i + 1 :]))
+    return area_vector_from_bounce(BounceVector(b))
 
 
 class TestVolume:
@@ -112,6 +145,24 @@ class TestBatchKernels:
         assert np.allclose(batch_bounce_vector(pts)[0], [0, 0.4, 0.6, 1.25])
         assert np.allclose(batch_transform_T(pts)[0], [0, 0.5, 1.3, 0.7])
 
+    @given(st.one_of(coarse_paths(), unit_gap_paths()))
+    @example(ContinuousPath([0, F("0.6"), F("1.2"), F("0.5")]))
+    @example(ContinuousPath([0, 1, 2, 3]))
+    @example(ContinuousPath([0, 0, 0, 0]))
+    @example(ContinuousPath([0, 1, 1, 1]))
+    @example(area_vector_from_bounce(BounceVector([0, F(1, 2), 1, F(3, 2)])))
+    # without the 1e-12 tolerance, rounding leaves this one with no valid root
+    @example(area_vector_from_bounce(BounceVector([0, F(1, 3), F(1, 3), F(2, 3), F(4, 3)])))
+    @settings(deadline=None, max_examples=300)
+    def test_bounce_vector_matches_exact_on_ties(self, p):
+        got = batch_bounce_vector(np.array([[float(a) for a in p.area_vector]]))[0]
+        exact = [float(b) for b in bounce_vector(p).b]
+        assert np.allclose(got, exact, rtol=0.0, atol=1e-9)
+
+    def test_bounce_vector_rejects_points_outside_polytope(self):
+        with pytest.raises(ValueError):
+            batch_bounce_vector(np.array([[0.0, 0.5, -0.25]]))
+
     def test_transport_in_batch(self):
         pts = self._random_batch(6, 5000, seed=13)
         img = batch_transform_T(pts)
@@ -157,6 +208,12 @@ class TestHistogram:
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "x_lo,x_hi,y_lo,y_hi,weight"
         assert len(lines) == 1 + 4
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 5
+            assert not any("np." in f for f in fields)
+            for f in fields:
+                float(f)
 
 
 class TestDensityN4:
