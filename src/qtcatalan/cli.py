@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: poly, stats, measure, converge, verify.  All outputs are
+Subcommands: poly, stats, measure, converge, preserve, verify.  All outputs are
 machine-readable (JSON or CSV) and byte-deterministic for a fixed seed.
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 enumeration budget
 exceeded.
@@ -36,10 +36,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CATALAN_SEED", "0"))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -82,7 +78,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     try:
         av = [_parse_rational(tok) for tok in args.area_vector.split(",")]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: cannot parse area vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -118,6 +114,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    if args.grid[0] != args.grid[1]:
+        print(f"error: measure needs a square grid, got {args.grid[0]}x{args.grid[1]}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
     except ValueError as exc:
@@ -158,10 +158,17 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_preserve(args: argparse.Namespace) -> int:
+    try:
+        report = measure.measure_preservation_check(args.n, count=args.samples, seed=args.seed)
+    except ValueError as exc:
+        return _error(exc)
+    sys.stdout.write(_dump_json(report))
+    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILURE
+
+
 def _verify_checks(level: str):
     """Yield (name, passed) pairs for the worked-example and oracle suites."""
-    from fractions import Fraction as F
-
     ref5 = discrete.MDyckPath(n=5, m=2, area_vector=(0, 1, 0, 2, 3))
     yield "ref5-area", discrete.area_m(ref5) == 6
     yield "ref5-dinv", discrete.dinv_m(ref5) == 7
@@ -169,22 +176,24 @@ def _verify_checks(level: str):
     bp = discrete.bounce_path_m(ref5)
     yield "ref5-bounce-path", (bp.v, bp.h) == ((1, 1, 0, 2, 1, 0), (1, 2, 1, 2, 3, 1))
 
-    worked = continuous.ContinuousPath([0, F("0.6"), F("1.2"), F("0.5")])
-    yield "worked-area", continuous.area(worked) == F("2.3")
-    yield "worked-dinv", continuous.dinv(worked) == F("2.5")
+    worked = continuous.ContinuousPath([0, Fraction("0.6"), Fraction("1.2"), Fraction("0.5")])
+    yield "worked-area", continuous.area(worked) == Fraction("2.3")
+    yield "worked-dinv", continuous.dinv(worked) == Fraction("2.5")
     yield "worked-bounce-vector", continuous.bounce_vector(worked).b == (
-        F(0), F(2, 5), F(3, 5), F(5, 4),
+        Fraction(0), Fraction(2, 5), Fraction(3, 5), Fraction(5, 4),
     )
-    yield "worked-bounce", continuous.bounce(worked) == F("2.25")
+    yield "worked-bounce", continuous.bounce(worked) == Fraction("2.25")
     image = continuous.transform_T(worked)
-    yield "worked-T", image.area_vector == (F(0), F(1, 2), F(13, 10), F(7, 10))
-    yield "worked-T-area", continuous.area(image) == F("2.5")
-    yield "worked-T-bounce", continuous.bounce(image) == F("2.3")
+    yield "worked-T", image.area_vector == (
+        Fraction(0), Fraction(1, 2), Fraction(13, 10), Fraction(7, 10),
+    )
+    yield "worked-T-area", continuous.area(image) == Fraction("2.5")
+    yield "worked-T-bounce", continuous.bounce(image) == Fraction("2.3")
 
     ex = continuous.ContinuousPath([0, 1, 1])
     yield "example-cont-area", continuous.area(ex) == 2
     yield "example-cont-dinv", continuous.dinv(ex) == 1
-    yield "example-cont-bounce", continuous.bounce(ex) == F(1, 2)
+    yield "example-cont-bounce", continuous.bounce(ex) == Fraction(1, 2)
 
     if level == "full":
         for n in range(1, 6):
@@ -247,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "statistics, and their limiting measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int, so a bad CATALAN_SEED exits 2
+    seed_default = os.environ.get("CATALAN_SEED", "0")
 
     p = sub.add_parser("poly", help="compute the q,t-Catalan polynomial for (n, m)")
     p.add_argument("--n", type=int, required=True)
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="Monte Carlo pushforward histogram")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--grid", type=_parse_grid, default=(60, 60))
     p.add_argument("--map", choices=("dinv-area", "area-bounce"), default="dinv-area")
     p.add_argument("--out", default=None, help="write histogram CSV here; summary JSON on stdout")
@@ -275,11 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-list", dest="m_list", type=int, nargs="+", required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--grid", type=_parse_grid, default=(60, 60))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_converge)
+
+    p = sub.add_parser("preserve", help="invariance of the sampling measure under T")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=seed_default)
+    p.set_defaults(func=cmd_preserve)
 
     p = sub.add_parser("verify", help="run the built-in worked-example and oracle checks")
     p.add_argument("level", choices=("fast", "full"), nargs="?", default="fast")
@@ -291,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command in ("measure", "converge"):
-        args.seed = _default_seed()
     return args.func(args)
 
 

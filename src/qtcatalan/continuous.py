@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .discrete import MDyckPath, _bounce_stat, _dinv_vector
+from .discrete import MDyckPath, _bounce_runs, _bounce_stat, _check_size, _dinv_vector
 
 __all__ = [
     "ContinuousPath",
@@ -272,24 +272,6 @@ def normalized_m_bounce_vector(p: ContinuousPath, m: int) -> tuple[Fraction, ...
     every continuous path; for 1/m-integral paths the coordinate sum equals
     the normalized bounce statistic.
     """
-    targets = sorted(p.north_step_positions())
-    n = p.n
-    b: list[Fraction] = []
-    v: list[int] = []
-    r = Fraction(0)
-    i = 0
-    while len(b) < n:
-        height = sum(1 for x in targets if x <= r)
-        vi = height - len(b)
-        b.extend([Fraction(i, m)] * vi)
-        v.append(vi)
-        if len(b) == n:
-            break
-        speed = sum(v[-m:])
-        if speed == 0:
-            raise ValueError(
-                "normalized bounce path stalled; input violates A_n invariants"
-            )
-        r += Fraction(speed, m)
-        i += 1
-    return tuple(b)
+    _check_size(p.n, m)
+    v, _ = _bounce_runs(sorted(m * x for x in p.north_step_positions()), m)
+    return tuple(Fraction(i, m) for i, vi in enumerate(v) for _ in range(vi))

@@ -51,10 +51,6 @@ class MDyckPath:
         object.__setattr__(self, "area_vector", tuple(self.area_vector))
         _validate_area_vector(self.n, self.m, self.area_vector)
 
-    def north_step_columns(self) -> tuple[int, ...]:
-        """x-coordinates of the north steps, row by row."""
-        return tuple(self.m * i - a for i, a in enumerate(self.area_vector))
-
 
 @dataclass(frozen=True)
 class BouncePathM:
@@ -167,13 +163,13 @@ def bounce_path_m(p: MDyckPath) -> BouncePathM:
     (the top edge y = n also terminates a run), then east by the sum of its
     last m vertical runs, and repeats until it reaches (m*n, n).
     """
-    v, h = _bounce_runs(p.area_vector, p.m)
+    v, h = _bounce_runs(sorted(p.m * i - a for i, a in enumerate(p.area_vector)), p.m)
     return BouncePathM(v=tuple(v), h=tuple(h))
 
 
-def _bounce_runs(av: Sequence[int], m: int) -> tuple[list[int], list[int]]:
-    n = len(av)
-    cols = sorted(m * i - a for i, a in enumerate(av))
+def _bounce_runs(cols: Sequence, m: int) -> tuple[list[int], list[int]]:
+    """Bounce runs (v, h) over sorted north-step columns, int or Fraction."""
+    n = len(cols)
     v: list[int] = []
     h: list[int] = []
     r = 0  # horizontal position
@@ -191,7 +187,7 @@ def _bounce_runs(av: Sequence[int], m: int) -> tuple[list[int], list[int]]:
 
 
 def _bounce_stat(av: Sequence[int], m: int) -> int:
-    v, _ = _bounce_runs(av, m)
+    v, _ = _bounce_runs(sorted(m * i - a for i, a in enumerate(av)), m)
     return sum(i * vi for i, vi in enumerate(v))
 
 

@@ -19,8 +19,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .discrete import _check_size, catalan_number_m
-from .qtpoly import DiscreteMeasure
+from .discrete import _check_size, _enumerate_area_vectors, catalan_number_m
+from .qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
 
 __all__ = [
     "SampleBatch",
@@ -57,16 +57,11 @@ def polytope_volume(n: int) -> Fraction:
 
 def ehrhart_check(n: int, m: int, budget: int | None = None) -> dict:
     """Count 1/m-integral points of the area polytope by direct enumeration
-    and compare with the higher Catalan number."""
+    and compare with the higher Catalan number.  Scaled by m, these points
+    are the area vectors of the m-Dyck paths of height n."""
     _check_size(n, m, budget)
     expected = catalan_number_m(n, m)
-    # integer scaled coordinates c_i = m * a_i with 0 <= c_{i+1} <= c_i + m
-    def count_from(level: int, prev: int) -> int:
-        if level == n:
-            return 1
-        return sum(count_from(level + 1, c) for c in range(prev + m + 1))
-
-    found = count_from(1, 0) if n > 1 else 1
+    found = sum(1 for _ in _enumerate_area_vectors(n, m))
     return {"n": n, "m": m, "expected": expected, "found": found, "ok": found == expected}
 
 
@@ -75,7 +70,6 @@ class SampleBatch:
     """Uniform samples of the area polytope, with rejection bookkeeping."""
 
     n: int
-    seed: int
     points: np.ndarray  # shape (count, n), first column identically 0
     proposed: int
     accepted: int
@@ -97,21 +91,19 @@ def _accept_mask(block: np.ndarray) -> np.ndarray:
     return ok
 
 
-def sample_area_polytope(
-    n: int, count: int, seed: int, *, rng: np.random.Generator | None = None
-) -> SampleBatch:
+def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) -> SampleBatch:
     """Rejection-sample uniform points of the area polytope.
 
     Proposals are uniform in the box prod_i [0, i] for the free coordinates
     a_1, ..., a_{n-1} (a_i <= i holds on the polytope by induction), so the
-    acceptance ratio estimates vol(A_n) / (n-1)!.
+    acceptance ratio estimates vol(A_n) / (n-1)!.  ``seed`` is an int or a
+    Generator, which is drawn from as given.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
     if count < 1:
         raise ValueError("count must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     highs = np.arange(1, n, dtype=float)
     kept: list[np.ndarray] = []
     accepted = 0
@@ -130,7 +122,7 @@ def sample_area_polytope(
         accepted += good.shape[0]
         kept.append(good)
     points = np.concatenate(kept, axis=0)[:count]
-    return SampleBatch(n=n, seed=seed, points=points, proposed=proposed, accepted=accepted)
+    return SampleBatch(n=n, points=points, proposed=proposed, accepted=accepted)
 
 
 def batch_area(points: np.ndarray) -> np.ndarray:
@@ -445,8 +437,6 @@ def convergence_report(
 ) -> dict:
     """L1 distance of binned normalized discrete measures to the continuous
     pushforward, for each m, plus the exact total-weight sequence."""
-    from .qtpoly import qt_catalan_dinv_area, to_normalized_measure
-
     if not m_list:
         raise ValueError("m_list must be nonempty")
     for m in m_list:
@@ -491,12 +481,10 @@ def measure_preservation_check(
     the polytope in area coordinates.  Per-cell z-scores use the two-sample
     binomial noise floor sqrt(c1 + c2).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     seq = np.random.SeedSequence(seed)
     rng_direct, rng_transported = (np.random.default_rng(s) for s in seq.spawn(2))
-    direct = sample_area_polytope(n, count, seed, rng=rng_direct)
-    source = sample_area_polytope(n, count, seed, rng=rng_transported)
+    direct = sample_area_polytope(n, count, rng_direct)
+    source = sample_area_polytope(n, count, rng_transported)
     transported = batch_transform_T(source.points)
 
     edges = [np.linspace(0.0, float(i), resolution + 1) for i in range(1, n)]

@@ -73,17 +73,20 @@ def test_criterion_04_symmetry():
 
 
 def test_criterion_05_phi_transport_and_bijectivity():
-    ok = True
-    for n in range(1, 6):
-        for m in range(1, 4):
-            images = set()
-            for p in discrete.enumerate_m_dyck(n, m):
-                q = discrete.phi_m(p)
-                images.add(q.area_vector)
-                ok &= discrete.dinv_m(p) == discrete.area_m(q)
-                ok &= discrete.area_m(p) == discrete.bounce_m(q)
-            ok &= len(images) == discrete.catalan_number_m(n, m)
-    _report(5, "phi transport and bijectivity", bool(ok))
+    # counts, phi transport and phi bijectivity live in the verify registry
+    expected = {
+        f"{kind}-n{n}-m{m}"
+        for kind in ("count", "phi-transport", "phi-bijective")
+        for n in range(1, 6)
+        for m in range(1, 4)
+    }
+    checks = {
+        name: passed
+        for name, passed in cli._verify_checks("full")
+        if name.startswith(("count-", "phi-"))
+    }
+    ok = set(checks) == expected and all(checks.values())
+    _report(5, "phi transport and bijectivity", ok)
 
 
 def test_criterion_06_jacobian_oracle():
@@ -129,7 +132,6 @@ def test_criterion_08_normalized_statistics_example():
 def test_criterion_09_measure_totals():
     ok = True
     for n in range(2, 6):
-        batch = measure.sample_area_polytope(n, 1, seed=100 + n)
         # keep proposing until at least 10^6 proposals for a stable ratio
         rng = np.random.default_rng(100 + n)
         proposed = 0

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from qtcatalan.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, main
+from qtcatalan.measure import measure_preservation_check
 
 
 def run(argv, capsys):
@@ -102,6 +103,14 @@ class TestMeasure:
         summary = json.loads(out[out.index('{'):])
         assert summary["l1_to_exact_density"] < 0.2
 
+    def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
+        argv = ["measure", "--n", "3", "--samples", "5000", "--grid", "8x8"]
+        run(argv + ["--seed", "5", "--out", str(tmp_path / "flag.csv")], capsys)
+        monkeypatch.setenv("CATALAN_SEED", "5")
+        code, out, _ = run(argv + ["--out", str(tmp_path / "env.csv")], capsys)
+        assert code == EXIT_OK and json.loads(out)["seed"] == 5
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
     def test_bad_grid(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["measure", "--n", "3", "--grid", "60by60"], capsys)
@@ -127,6 +136,14 @@ class TestConverge:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err.lower()
+
+
+class TestPreserve:
+    def test_report_matches_library(self, capsys):
+        code, out, _ = run(["preserve", "--n", "3", "--samples", "20000", "--seed", "2"], capsys)
+        report = measure_preservation_check(3, count=20000, seed=2)
+        assert json.loads(out) == report
+        assert code == (EXIT_OK if report["ok"] else EXIT_CHECK_FAILURE)
 
 
 class TestVerify:
@@ -157,6 +174,9 @@ class TestUsage:
             ["measure", "--n", "1"],
             ["measure", "--n", "3", "--samples", "0"],
             ["measure", "--n", "3", "--grid", "0x0"],
+            ["measure", "--n", "3", "--samples", "100", "--grid", "10x20"],
+            ["stats", "0,1/0"],
+            ["preserve", "--n", "1"],
         ],
     )
     def test_bad_parameters_exit_2(self, argv, capsys):
@@ -167,6 +187,13 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "error: " in err.splitlines()[-1]
+
+    def test_bad_seed_environment_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CATALAN_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run(["measure", "--n", "3", "--samples", "100"], capsys)
+        assert exc.value.code == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestByteIdentity:

@@ -280,3 +280,9 @@ class TestNormalizedBounceVector:
             dists.append(max(abs(x - y) for x, y in zip(exact, approx)))
         assert all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
         assert dists[-1] <= F(1, 32)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_normalized_m_bounce_vector_rejects_m_below_1(m):
+    with pytest.raises(ValueError):
+        normalized_m_bounce_vector(ContinuousPath([0, 1, 1]), m)
