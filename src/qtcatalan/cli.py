@@ -2,8 +2,8 @@
 
 Subcommands: poly, stats, measure, converge, preserve, verify.  All outputs are
 machine-readable (JSON or CSV) and byte-deterministic for a fixed seed.
-Exit codes: 0 ok, 1 check failure, 2 usage error, 3 enumeration budget
-exceeded.
+Exit codes: 0 ok, 1 check failure, 2 usage error, 3 enumeration or sampling
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _dump_json(data: dict) -> str:
 
 
 def _error(exc: Exception) -> int:
-    """Report a rejected parameter (exit 2) or path budget (exit 3)."""
+    """Report a rejected parameter (exit 2) or path or sampling budget (exit 3)."""
     print(f"error: {exc}", file=sys.stderr)
     return EXIT_BUDGET if isinstance(exc, discrete.BudgetExceededError) else EXIT_USAGE
 
@@ -76,6 +76,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if args.m is not None and args.m < 1:
+        print(f"error: --m must be >= 1, got {args.m}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         av = [_parse_rational(tok) for tok in args.area_vector.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -120,7 +123,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
-    except ValueError as exc:
+    except (ValueError, discrete.BudgetExceededError) as exc:
         return _error(exc)
     hist = measure.pushforward_histogram(batch, args.map, args.grid)
     summary = {
@@ -161,7 +164,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 def cmd_preserve(args: argparse.Namespace) -> int:
     try:
         report = measure.measure_preservation_check(args.n, count=args.samples, seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, discrete.BudgetExceededError) as exc:
         return _error(exc)
     sys.stdout.write(_dump_json(report))
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILURE

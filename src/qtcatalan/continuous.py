@@ -16,7 +16,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .discrete import MDyckPath, _bounce_runs, _bounce_stat, _check_size, _dinv_vector
+from .discrete import (
+    MDyckPath, _bounce_runs, _bounce_stat, _check_size, _dinv_vector, _validate_area_vector,
+)
 
 __all__ = [
     "ContinuousPath",
@@ -56,17 +58,7 @@ class ContinuousPath:
 
     def __init__(self, area_vector: Sequence[Rational]):
         av = _as_fractions(area_vector)
-        if not av:
-            raise ValueError("area vector must be nonempty")
-        if av[0] != 0:
-            raise ValueError(f"a_0 = {av[0]}, must be 0")
-        for i in range(len(av) - 1):
-            if av[i + 1] < 0:
-                raise ValueError(f"a_{i + 1} = {av[i + 1]} < 0")
-            if av[i + 1] > av[i] + 1:
-                raise ValueError(
-                    f"a_{i + 1} <= a_{i} + 1 violated: {av[i + 1]} > {av[i]} + 1"
-                )
+        _validate_area_vector(len(av), 1, av)  # A_n is the m = 1 polytope
         object.__setattr__(self, "area_vector", av)
 
     @property

@@ -32,7 +32,8 @@ __all__ = [
 
 
 class InvalidPathError(ValueError):
-    """Raised when an area vector violates the m-Dyck path constraints."""
+    """Raised when an area vector violates the m-Dyck path constraints, or
+    (with m = 1) those of the continuous area polytope A_n."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -111,7 +112,7 @@ def enumerate_m_dyck(n: int, m: int, budget: int | None = None) -> Iterator[MDyc
 
 def _enumerate_area_vectors(n: int, m: int) -> Iterator[tuple[int, ...]]:
     prefix = [0] * n
-    # iterative DFS; ascending children give lexicographic order
+    # recursive DFS over a shared prefix; ascending children give lexicographic order
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(prefix)
@@ -119,10 +120,7 @@ def _enumerate_area_vectors(n: int, m: int) -> Iterator[tuple[int, ...]]:
         for a in range(prefix[i - 1] + m + 1):
             prefix[i] = a
             yield from rec(i + 1)
-    if n == 1:
-        yield (0,)
-    else:
-        yield from rec(1)
+    yield from rec(1)
 
 
 def area_m(p: MDyckPath) -> int:

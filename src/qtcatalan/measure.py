@@ -19,7 +19,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .discrete import _check_size, _enumerate_area_vectors, catalan_number_m
+from .discrete import BudgetExceededError, _check_size, _enumerate_area_vectors, catalan_number_m
 from .qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 MapChoice = Literal["dinv-area", "area-bounce"]
+
+_BLOCK_ROWS = 1 << 14  # proposals per rejection round
+_MAX_PROPOSALS = 10**10  # expected proposals allowed per sample_area_polytope call
 
 
 def polytope_volume(n: int) -> Fraction:
@@ -96,29 +99,32 @@ def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) ->
 
     Proposals are uniform in the box prod_i [0, i] for the free coordinates
     a_1, ..., a_{n-1} (a_i <= i holds on the polytope by induction), so the
-    acceptance ratio estimates vol(A_n) / (n-1)!.  ``seed`` is an int or a
-    Generator, which is drawn from as given.
+    acceptance ratio estimates vol(A_n) / (n-1)!.  Blocks of _BLOCK_ROWS
+    proposals are drawn in order from one stream, so the points do not depend
+    on the block size; ``proposed`` and ``accepted`` count whole blocks.
+    ``seed`` is an int or a Generator, which is drawn from as given.  Raises
+    BudgetExceededError, before drawing, when the expected proposal count
+    count * (n-1)! / vol(A_n) exceeds _MAX_PROPOSALS.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
     if count < 1:
         raise ValueError("count must be positive")
+    # exact: the float ratio overflows for large n
+    if count * math.factorial(n - 1) > _MAX_PROPOSALS * polytope_volume(n):
+        raise BudgetExceededError(
+            f"{count} samples at n={n} need more than {_MAX_PROPOSALS:,} proposals"
+        )
     rng = np.random.default_rng(seed)
     highs = np.arange(1, n, dtype=float)
     kept: list[np.ndarray] = []
     accepted = 0
     proposed = 0
     while accepted < count:
-        k = max(count - accepted, 1024)
-        # oversample by the inverse of the known acceptance probability
-        k = int(k / float(polytope_volume(n) / math.factorial(n - 1)) * 1.1) + 16
-        k = min(k, 4_000_000)
-        block = np.empty((k, n))
-        block[:, 0] = 0.0
-        block[:, 1:] = rng.uniform(0.0, 1.0, size=(k, n - 1)) * highs
-        ok = _accept_mask(block)
-        proposed += k
-        good = block[ok]
+        block = np.zeros((_BLOCK_ROWS, n))
+        block[:, 1:] = rng.uniform(0.0, 1.0, size=(_BLOCK_ROWS, n - 1)) * highs
+        good = block[_accept_mask(block)]
+        proposed += _BLOCK_ROWS
         accepted += good.shape[0]
         kept.append(good)
     points = np.concatenate(kept, axis=0)[:count]

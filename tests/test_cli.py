@@ -177,6 +177,7 @@ class TestUsage:
             ["measure", "--n", "3", "--samples", "100", "--grid", "10x20"],
             ["stats", "0,1/0"],
             ["preserve", "--n", "1"],
+            ["stats", "0,1", "--m", "0"],
         ],
     )
     def test_bad_parameters_exit_2(self, argv, capsys):
@@ -188,6 +189,16 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "error: " in err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "--n", "20", "--samples", "1"], ["preserve", "--n", "16"]],
+    )
+    def test_sampling_budget_exit_3(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_bad_seed_environment_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CATALAN_SEED", "abc")
         with pytest.raises(SystemExit) as exc:
@@ -197,8 +208,8 @@ class TestUsage:
 
 
 class TestByteIdentity:
-    """SHA-256 of outputs pinned before the duplicate code paths were
-    removed; any change to these bytes must be declared."""
+    """SHA-256 of outputs pinned before the code that makes them was
+    refactored; any change to these bytes must be declared."""
 
     def test_poly_json(self, capsys):
         code, out, _ = run(["poly", "--n", "5", "--m", "2"], capsys)
@@ -217,4 +228,16 @@ class TestByteIdentity:
         assert code == EXIT_OK
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
             "a81fd582f98e336b97febf7bdb830a1e43ecc4584a78186a50fb9311354bfb07"
+        )
+
+    def test_measure_csv_over_many_blocks(self, capsys, tmp_path):
+        dest = tmp_path / "h.csv"
+        code, _, _ = run(
+            ["measure", "--n", "6", "--samples", "5000", "--seed", "2", "--grid", "12x12",
+             "--out", str(dest)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "a98c3e85384c6a33929438e68fd52143be32bd21d97fc915b2db31ad8236e051"
         )

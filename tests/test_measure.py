@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qtcatalan import measure
 from qtcatalan.continuous import (
     BounceVector,
     ContinuousPath,
@@ -115,6 +116,20 @@ class TestSampling:
         est = b.acceptance_ratio * 6  # box volume (n-1)! = 6
         assert abs(est - 8 / 3) < 0.03
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("rows", [1000, 1 << 20])
+    def test_points_independent_of_block_size(self, n, rows, monkeypatch):
+        default = sample_area_polytope(n, 30000, seed=5).points
+        monkeypatch.setattr(measure, "_BLOCK_ROWS", rows)
+        assert np.array_equal(sample_area_polytope(n, 30000, seed=5).points, default)
+
+    def test_budget_checked_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(BudgetExceededError):
+            sample_area_polytope(20, 1, rng)  # needs about 5.6e10 proposals
+        assert rng.bit_generator.state == state
+
 
 class TestBatchKernels:
     def _random_batch(self, n, count, seed):
@@ -155,9 +170,12 @@ class TestBatchKernels:
     @example(area_vector_from_bounce(BounceVector([0, F(1, 3), F(1, 3), F(2, 3), F(4, 3)])))
     @settings(deadline=None, max_examples=300)
     def test_bounce_vector_matches_exact_on_ties(self, p):
-        got = batch_bounce_vector(np.array([[float(a) for a in p.area_vector]]))[0]
+        pts = np.array([[float(a) for a in p.area_vector]])
         exact = [float(b) for b in bounce_vector(p).b]
-        assert np.allclose(got, exact, rtol=0.0, atol=1e-9)
+        assert np.allclose(batch_bounce_vector(pts)[0], exact, rtol=0.0, atol=1e-9)
+        assert abs(batch_dinv(pts)[0] - float(dinv(p))) <= 1e-9
+        exact_t = [float(a) for a in transform_T(p).area_vector]
+        assert np.allclose(batch_transform_T(pts)[0], exact_t, rtol=0.0, atol=1e-9)
 
     def test_bounce_vector_rejects_points_outside_polytope(self):
         with pytest.raises(ValueError):
