@@ -20,7 +20,6 @@ from .qtpoly import (
     QtPolynomial,
     qt_catalan_area_bounce,
     qt_catalan_dinv_area,
-    specialize_q1,
     to_normalized_measure,
     transpose,
 )
@@ -48,7 +47,6 @@ from .measure import (
     convergence_report,
     density_n4_cell_integrals,
     density_n4_total_integral,
-    ehrhart_check,
     exact_density_n4,
     l1_distance,
     measure_preservation_check,

@@ -34,10 +34,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return (w, h)
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -80,7 +76,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"error: --m must be >= 1, got {args.m}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        av = [_parse_rational(tok) for tok in args.area_vector.split(",")]
+        av = [Fraction(tok) for tok in args.area_vector.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: cannot parse area vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -311,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # e.g. an --out path that cannot be written
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ experiment drivers (convergence of normalized discrete measures, and
 invariance of the sampling measure under the sorting transform).
 
 Everything is seeded and byte-deterministic; exact rational arithmetic is
-used for volumes, lattice counts, and the height-4 density integrals.
+used for volumes and the height-4 density.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .discrete import BudgetExceededError, _check_size, _enumerate_area_vectors, catalan_number_m
+from .discrete import BudgetExceededError, _check_size, catalan_number_m
 from .qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
 
 __all__ = [
     "SampleBatch",
     "Histogram2D",
     "polytope_volume",
-    "ehrhart_check",
     "sample_area_polytope",
     "batch_area",
     "batch_dinv",
@@ -47,6 +46,7 @@ MapChoice = Literal["dinv-area", "area-bounce"]
 
 _BLOCK_ROWS = 1 << 14  # proposals per rejection round
 _MAX_PROPOSALS = 10**10  # expected proposals allowed per sample_area_polytope call
+_MAX_COORDINATES = 5 * 10**7  # count * n allowed per sample_area_polytope call (memory)
 
 
 def polytope_volume(n: int) -> Fraction:
@@ -56,16 +56,6 @@ def polytope_volume(n: int) -> Fraction:
     if n == 1:
         return Fraction(1)
     return Fraction(n ** (n - 2), math.factorial(n - 1))
-
-
-def ehrhart_check(n: int, m: int, budget: int | None = None) -> dict:
-    """Count 1/m-integral points of the area polytope by direct enumeration
-    and compare with the higher Catalan number.  Scaled by m, these points
-    are the area vectors of the m-Dyck paths of height n."""
-    _check_size(n, m, budget)
-    expected = catalan_number_m(n, m)
-    found = sum(1 for _ in _enumerate_area_vectors(n, m))
-    return {"n": n, "m": m, "expected": expected, "found": found, "ok": found == expected}
 
 
 @dataclass(frozen=True)
@@ -104,12 +94,17 @@ def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) ->
     on the block size; ``proposed`` and ``accepted`` count whole blocks.
     ``seed`` is an int or a Generator, which is drawn from as given.  Raises
     BudgetExceededError, before drawing, when the expected proposal count
-    count * (n-1)! / vol(A_n) exceeds _MAX_PROPOSALS.
+    count * (n-1)! / vol(A_n) exceeds _MAX_PROPOSALS or the points would
+    hold more than _MAX_COORDINATES floats.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
     if count < 1:
         raise ValueError("count must be positive")
+    if count * n > _MAX_COORDINATES:
+        raise BudgetExceededError(
+            f"{count} samples at n={n} need more than {_MAX_COORDINATES:,} coordinates"
+        )
     # exact: the float ratio overflows for large n
     if count * math.factorial(n - 1) > _MAX_PROPOSALS * polytope_volume(n):
         raise BudgetExceededError(
@@ -226,8 +221,6 @@ class Histogram2D:
 def default_bounds(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Support box [0, n(n-1)/2]^2 from the staircase maximum of the statistics."""
     hi = Fraction(n * (n - 1), 2)
-    if hi == 0:
-        hi = Fraction(1)  # degenerate n = 1 support is the single point (0, 0)
     return (Fraction(0), hi, Fraction(0), hi)
 
 
@@ -321,20 +314,17 @@ _DENSITY_N4_TRIANGLES: list[tuple[list[tuple[Fraction, Fraction]], tuple[Fractio
 
 
 def exact_density_n4(x: float, y: float) -> float:
-    """Density of the height-4 pushforward measure at (x, y).
-
-    Piecewise linear on three triangular regions; region boundaries other
-    than the lower support edge x + y = 4 are continuous, so the closed-region
-    convention used here only matters on that edge.
+    """Density of the height-4 pushforward measure at (x, y), from the first
+    closed triangle of _DENSITY_N4_TRIANGLES that holds the exact value of
+    the point.  Only the lower support edge x + y = 4, where the density
+    jumps, depends on the closed convention.
     """
-    if x + y < 4 or x + y > 6 or x < 0 or y < 0:
-        return 0.0
-    if 3 * x + y >= 6 and 2 * x + y <= 6:
-        return (3 * x + y - 6) / 2
-    if 2 * x + y >= 6 and x + 2 * y >= 6:
-        return (6 - x - y) / 2
-    if x + 3 * y >= 6 and x + 2 * y <= 6:
-        return (x + 3 * y - 6) / 2
+    X, Y = Fraction(x), Fraction(y)
+    for tri, (alpha, beta, gamma) in _DENSITY_N4_TRIANGLES:
+        crosses = [(bx - ax) * (Y - ay) - (by - ay) * (X - ax)
+                   for (ax, ay), (bx, by) in zip(tri, tri[1:] + tri[:1])]
+        if all(c >= 0 for c in crosses) or all(c <= 0 for c in crosses):
+            return float(alpha * X + beta * Y + gamma)
     return 0.0
 
 

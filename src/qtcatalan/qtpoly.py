@@ -7,7 +7,6 @@ measure on the plane (atom at (i/m, j/m) with weight coeff / m^(n-1)).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -20,7 +19,6 @@ __all__ = [
     "qt_catalan_dinv_area",
     "qt_catalan_area_bounce",
     "transpose",
-    "specialize_q1",
     "to_normalized_measure",
 ]
 
@@ -50,11 +48,6 @@ class QtPolynomial:
         """Terms as (q, t, coeff), sorted t-major then q."""
         return [(i, j, self.coeffs[(i, j)]) for j, i in sorted((j, i) for i, j in self.coeffs)]
 
-    def max_degrees(self) -> tuple[int, int]:
-        qd = max((i for i, _ in self.coeffs), default=0)
-        td = max((j for _, j in self.coeffs), default=0)
-        return qd, td
-
     def to_json_dict(self, n: int, m: int) -> dict:
         return {
             "n": n,
@@ -62,17 +55,10 @@ class QtPolynomial:
             "terms": [{"q": i, "t": j, "c": str(c)} for i, j, c in self.canonical_terms()],
         }
 
-    def to_json(self, n: int, m: int) -> str:
-        return json.dumps(self.to_json_dict(n, m))
-
     def to_csv(self) -> str:
         lines = ["q,t,coeff"]
         lines += [f"{i},{j},{c}" for i, j, c in self.canonical_terms()]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "QtPolynomial":
-        return cls({(term["q"], term["t"]): int(term["c"]) for term in data["terms"]})
 
 
 @dataclass(frozen=True)
@@ -83,12 +69,6 @@ class DiscreteMeasure:
 
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self.atoms), start=Fraction(0))
-
-    def consolidated(self) -> "DiscreteMeasure":
-        merged: dict[tuple[Fraction, Fraction], Fraction] = {}
-        for loc, w in self.atoms:
-            merged[loc] = merged.get(loc, Fraction(0)) + w
-        return DiscreteMeasure(tuple(sorted(merged.items())))
 
 
 def _accumulate(pairs: Iterable[tuple[int, int]]) -> QtPolynomial:
@@ -116,16 +96,6 @@ def qt_catalan_area_bounce(n: int, m: int, budget: int | None = None) -> QtPolyn
 
 def transpose(p: QtPolynomial) -> QtPolynomial:
     return QtPolynomial({(j, i): c for (i, j), c in p.coeffs.items()})
-
-
-def specialize_q1(p: QtPolynomial) -> list[int]:
-    """Marginal coefficient sequence over t-exponents at q = 1."""
-    if not p.coeffs:
-        return []
-    out = [0] * (p.max_degrees()[1] + 1)
-    for (_, j), c in p.coeffs.items():
-        out[j] += c
-    return out
 
 
 def to_normalized_measure(p: QtPolynomial, n: int, m: int) -> DiscreteMeasure:

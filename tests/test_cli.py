@@ -191,11 +191,30 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["measure", "--n", "20", "--samples", "1"], ["preserve", "--n", "16"]],
+        [
+            ["measure", "--n", "20", "--samples", "1"],
+            ["preserve", "--n", "16"],
+            ["measure", "--n", "4", "--samples", "20000000"],
+        ],
     )
     def test_sampling_budget_exit_3(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "--n", "3", "--m", "1"],
+            ["stats", "0,1"],
+            ["measure", "--n", "3", "--samples", "100"],
+            ["converge", "--n", "3", "--m-list", "1", "--samples", "100"],
+        ],
+    )
+    def test_unwritable_out_exit_2(self, argv, capsys, tmp_path):
+        code, out, err = run(argv + ["--out", str(tmp_path / "missing" / "out")], capsys)
+        assert code == EXIT_USAGE
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

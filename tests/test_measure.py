@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +15,7 @@ from qtcatalan.continuous import (
     dinv,
     transform_T,
 )
-from qtcatalan.discrete import BudgetExceededError
+from qtcatalan.discrete import BudgetExceededError, catalan_number_m, enumerate_m_dyck
 from qtcatalan.measure import (
     batch_area,
     batch_bounce,
@@ -26,7 +27,6 @@ from qtcatalan.measure import (
     default_bounds,
     density_n4_cell_integrals,
     density_n4_total_integral,
-    ehrhart_check,
     exact_density_n4,
     l1_distance,
     measure_preservation_check,
@@ -78,18 +78,17 @@ class TestVolume:
 
 
 class TestEhrhart:
+    """Scaled by m, the 1/m-integral points of the area polytope are the
+    area vectors of the m-Dyck paths of height n."""
+
     def test_height_two(self):
         for m in (1, 2, 7):
-            rep = ehrhart_check(2, m)
-            assert rep["ok"] and rep["found"] == m + 1
+            found = sum(1 for _ in enumerate_m_dyck(2, m))
+            assert found == catalan_number_m(2, m) == m + 1
 
     def test_small_cases(self):
         for n, m in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]:
-            assert ehrhart_check(n, m)["ok"]
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            ehrhart_check(8, 5, budget=100)
+            assert sum(1 for _ in enumerate_m_dyck(n, m)) == catalan_number_m(n, m)
 
 
 class TestSampling:
@@ -126,9 +125,11 @@ class TestSampling:
     def test_budget_checked_before_drawing(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(BudgetExceededError):
-            sample_area_polytope(20, 1, rng)  # needs about 5.6e10 proposals
-        assert rng.bit_generator.state == state
+        # about 5.6e10 proposals; 8e7 coordinates (memory)
+        for n, count in [(20, 1), (4, 20_000_000)]:
+            with pytest.raises(BudgetExceededError):
+                sample_area_polytope(n, count, rng)
+            assert rng.bit_generator.state == state
 
 
 class TestBatchKernels:
@@ -249,6 +250,13 @@ class TestDensityN4:
         assert exact_density_n4(4.0, 1.2) == pytest.approx((6 - 4.0 - 1.2) / 2)
         assert exact_density_n4(3.3, 1.1) == pytest.approx((3.3 + 3 * 1.1 - 6) / 2)
 
+    def test_closed_jump_edge(self):
+        assert exact_density_n4(F(6, 5), F(14, 5)) == pytest.approx(0.2)
+        assert exact_density_n4(1.5, 2.5) == 0.5
+        # the float sum 1.2 + 2.8 is exactly 4, but the values the two floats
+        # stand for sum to less than 4, outside the support
+        assert exact_density_n4(1.2, 2.8) == 0.0
+
     def test_symmetric(self):
         for x, y in [(1.0, 3.5), (2.5, 2.0), (0.5, 4.5)]:
             assert exact_density_n4(x, y) == pytest.approx(exact_density_n4(y, x))
@@ -270,6 +278,37 @@ class TestDensityN4:
     def test_density_symmetric_on_grid(self):
         h = density_n4_cell_integrals((20, 20))
         assert h.transpose_deviation() < 1e-9
+
+    def test_table_moments_match_discrete_limit(self):
+        # S_ij(m) = sum of c * dinv^i * area^j over the terms of C^(m)_4 is a
+        # polynomial in m of degree k = 3 + i + j, whose leading coefficient
+        # is the moment of x^i y^j under the limit measure.
+        coeffs = {m: qt_catalan_dinv_area(4, m).coeffs for m in range(1, 8)}
+        expected = {(0, 0): F(8, 3), (1, 0): F(13, 2), (0, 1): F(13, 2),
+                    (2, 0): F(56, 3), (1, 1): F(40, 3), (0, 2): F(56, 3)}
+        for (i, j), moment in expected.items():
+            k = 3 + i + j
+            diffs = [sum(c * d**i * a**j for (d, a), c in coeffs[m].items()) for m in range(1, k + 3)]
+            for _ in range(k):
+                diffs = [v - u for u, v in zip(diffs, diffs[1:])]
+            assert diffs[0] == diffs[1]  # the (k+1)-th difference vanishes
+            assert F(diffs[0], math.factorial(k)) == _table_moment(i, j) == moment
+
+
+def _table_moment(i, j):
+    """Exact integral of x^i y^j times the _DENSITY_N4_TRIANGLES density, by
+    the 4-point Strang-Fix rule, which is exact for cubics (i + j <= 2)."""
+    a, b = F(3, 5), F(1, 5)
+    rule = [(F(-27, 48), (F(1, 3),) * 3)] + [(F(25, 48), bary) for bary in [(a, b, b), (b, a, b), (b, b, a)]]
+    total = F(0)
+    for tri, (alpha, beta, gamma) in measure._DENSITY_N4_TRIANGLES:
+        (x0, y0), (x1, y1), (x2, y2) = tri
+        tri_area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+        for weight, (l0, l1, l2) in rule:
+            x = l0 * x0 + l1 * x1 + l2 * x2
+            y = l0 * y0 + l1 * y1 + l2 * y2
+            total += tri_area * weight * x**i * y**j * (alpha * x + beta * y + gamma)
+    return total
 
 
 class TestConvergenceReport:

@@ -9,7 +9,6 @@ from qtcatalan.qtpoly import (
     QtPolynomial,
     qt_catalan_area_bounce,
     qt_catalan_dinv_area,
-    specialize_q1,
     to_normalized_measure,
     transpose,
 )
@@ -42,9 +41,9 @@ class TestPolynomialBasics:
 
     def test_json_round_trip(self):
         p = qt_catalan_dinv_area(4, 2)
-        data = json.loads(p.to_json(4, 2))
+        data = json.loads(json.dumps(p.to_json_dict(4, 2)))
         assert data["n"] == 4 and data["m"] == 2
-        assert QtPolynomial.from_json_dict(data) == p
+        assert QtPolynomial({(term["q"], term["t"]): int(term["c"]) for term in data["terms"]}) == p
 
     def test_csv(self):
         csv = qt_catalan_dinv_area(2, 1).to_csv()
@@ -76,25 +75,30 @@ class TestCatalanPolynomials:
     def test_max_degrees_are_staircase(self, n, m):
         p = qt_catalan_dinv_area(n, m)
         top = m * n * (n - 1) // 2
-        assert p.max_degrees() == (top, top)
+        assert max(i for i, _ in p.coeffs) == max(j for _, j in p.coeffs) == top
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             qt_catalan_dinv_area(6, 3, budget=100)
 
 
-class TestSpecialization:
-    def test_simple(self):
-        assert specialize_q1(QtPolynomial({(1, 0): 1, (0, 1): 1})) == [1, 1]
+def _marginal_q1(p):
+    """Coefficients of p(1, t), indexed by the t-exponent."""
+    out = [0] * (max(j for _, j in p.coeffs) + 1)
+    for (_, j), c in p.coeffs.items():
+        out[j] += c
+    return out
 
+
+class TestSpecialization:
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 1), (5, 3)])
     def test_univariate_distributions_coincide(self, n, m):
         da = qt_catalan_dinv_area(n, m)
         ab = qt_catalan_area_bounce(n, m)
-        dinv_marginal = specialize_q1(transpose(da))
-        area_marginal = specialize_q1(da)
-        bounce_marginal = specialize_q1(ab)
-        area_marginal_2 = specialize_q1(transpose(ab))
+        dinv_marginal = _marginal_q1(transpose(da))
+        area_marginal = _marginal_q1(da)
+        bounce_marginal = _marginal_q1(ab)
+        area_marginal_2 = _marginal_q1(transpose(ab))
         assert dinv_marginal == area_marginal == bounce_marginal
         assert area_marginal == area_marginal_2
         assert sum(area_marginal) == catalan_number_m(n, m)
@@ -117,18 +121,7 @@ class TestNormalizedMeasure:
         assert mu.atoms == (((Fraction(0), Fraction(0)), Fraction(1)),)
 
     def test_consolidation(self):
-        from qtcatalan.qtpoly import DiscreteMeasure
-
-        raw = DiscreteMeasure(
-            (
-                ((Fraction(0), Fraction(0)), Fraction(1, 2)),
-                ((Fraction(0), Fraction(0)), Fraction(1, 2)),
-                ((Fraction(1), Fraction(0)), Fraction(2)),
-            )
-        )
-        merged = raw.consolidated()
-        assert merged.atoms == (
-            ((Fraction(0), Fraction(0)), Fraction(1)),
-            ((Fraction(1), Fraction(0)), Fraction(2)),
-        )
-        assert merged.total_weight() == raw.total_weight() == 3
+        # one atom per term: no location repeats, so nothing needs merging
+        p = qt_catalan_dinv_area(4, 3)
+        locations = [loc for loc, _ in to_normalized_measure(p, 4, 3).atoms]
+        assert len(set(locations)) == len(locations) == len(p.coeffs)
