@@ -6,14 +6,21 @@ canonically by their area vector (a_0, ..., a_{n-1}), where a_i counts the
 complete lattice boxes between the path and the diagonal in row i.  The
 north step in row i then sits at x-coordinate i*m - a_i, which is how the
 lattice picture is reconstructed whenever a simulation needs it.
+
+Enumeration and the dinv and bounce statistics also come as int64 numpy
+kernels over blocks of area vectors, which the polynomial constructions use;
+the scalar versions are their exact oracle.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "MDyckPath",
@@ -29,6 +36,8 @@ __all__ = [
     "bounce_m",
     "phi_m",
 ]
+
+_BLOCK_ROWS = 1 << 10  # most rows of one enumeration block (bounds peak memory)
 
 
 class InvalidPathError(ValueError):
@@ -102,25 +111,37 @@ def enumerate_m_dyck(n: int, m: int, budget: int | None = None) -> Iterator[MDyc
     ``budget``.
     """
     _check_size(n, m, budget)
-    for av in _enumerate_area_vectors(n, m):
-        path = MDyckPath.__new__(MDyckPath)
-        object.__setattr__(path, "n", n)
-        object.__setattr__(path, "m", m)
-        object.__setattr__(path, "area_vector", av)
-        yield path
+    for block in _area_vector_blocks(n, m):
+        for av in block.tolist():
+            path = MDyckPath.__new__(MDyckPath)
+            object.__setattr__(path, "n", n)
+            object.__setattr__(path, "m", m)
+            object.__setattr__(path, "area_vector", tuple(av))
+            yield path
 
 
-def _enumerate_area_vectors(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    prefix = [0] * n
-    # recursive DFS over a shared prefix; ascending children give lexicographic order
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(prefix)
+def _area_vector_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+    """Every area vector of height n, lexicographically, as int64 blocks of
+    at most _BLOCK_ROWS rows.
+
+    A block of prefixes grows one coordinate at a time: row p has the
+    children p + (a,) for a = 0, ..., p[-1] + m, numbered in parent order.
+    The children are made _BLOCK_ROWS numbers at a time (each number finds
+    its parent by np.searchsorted on the running child counts), and each
+    such block is grown depth first, which keeps the lexicographic order.
+    """
+    def grow(prefixes: np.ndarray) -> Iterator[np.ndarray]:
+        if prefixes.shape[1] == n:
+            yield prefixes
             return
-        for a in range(prefix[i - 1] + m + 1):
-            prefix[i] = a
-            yield from rec(i + 1)
-    yield from rec(1)
+        ends = np.cumsum(prefixes[:, -1] + m + 1)
+        for start in range(0, int(ends[-1]), _BLOCK_ROWS):
+            child = np.arange(start, min(start + _BLOCK_ROWS, int(ends[-1])))
+            parent = np.searchsorted(ends, child, side="right")
+            first = np.concatenate(([0], ends[:-1]))[parent]
+            yield from grow(np.column_stack((prefixes[parent], child - first)))
+
+    return grow(np.zeros((1, 1), dtype=np.int64))
 
 
 def area_m(p: MDyckPath) -> int:
@@ -152,6 +173,15 @@ def _dinv_vector(av: Sequence[int], m: int) -> int:
             elif -m <= d <= 0:
                 total += m + d
     return total
+
+
+def _dinv_block(block: np.ndarray, m: int) -> np.ndarray:
+    """dinv of every row of an int64 block of area vectors, with the closed
+    form sc_m(d) = max(0, 2m + 1 - |2d - 1|) // 2 (the maximum is even)."""
+    pairs = np.array(list(itertools.combinations(range(block.shape[1]), 2)), dtype=np.intp)
+    pairs = pairs.reshape(-1, 2)  # i < j; also when n = 1
+    d = block[:, pairs[:, 0]] - block[:, pairs[:, 1]]
+    return np.maximum(2 * m + 1 - np.abs(2 * d - 1), 0).sum(axis=1) // 2
 
 
 def bounce_path_m(p: MDyckPath) -> BouncePathM:
@@ -187,6 +217,48 @@ def _bounce_runs(cols: Sequence, m: int) -> tuple[list[int], list[int]]:
 def _bounce_stat(av: Sequence[int], m: int) -> int:
     v, _ = _bounce_runs(sorted(m * i - a for i, a in enumerate(av)), m)
     return sum(i * vi for i, vi in enumerate(v))
+
+
+def _bounce_block(block: np.ndarray, m: int) -> np.ndarray:
+    """bounce of every row of an int64 block of valid area vectors: the walk
+    of _bounce_runs, jumping from one nonzero vertical run to the next.
+
+    With y_k the height after run k (y_k = 0 for k < 0), the walk is at
+    r_k = y_{k-1} + ... + y_{k-m} = sum_e dy_e * min(k - t_e, m), where run
+    t_e rose by dy_e.  For k past the last rise, r_k is the least of the
+    lines m * S_j + C_j * k - O_j (S_j = sum_{e<j} dy_e saturated,
+    C_j = sum_{e>=j} dy_e climbing, O_j = sum_{e>=j} dy_e t_e), so the next
+    rise is at the least k where every line with C_j > 0 reaches the next
+    north-step column.  A row rises at most n times, and bounce is
+    sum_e t_e * dy_e.
+    """
+    rows, n = block.shape
+    cols = m * np.arange(n) - block  # north-step columns, in row order
+    t = np.zeros((rows, n), dtype=np.int64)  # run index of rise e
+    dy = np.zeros((rows, n), dtype=np.int64)  # height gained at rise e
+    y = (cols <= 0).sum(axis=1)  # run 0 rises to the columns at x = 0
+    dy[:, 0] = y
+    r = np.zeros(rows, dtype=np.int64)  # position of the last rise
+    bounce = np.zeros(rows, dtype=np.int64)
+    for e in range(1, n):
+        live = y < n
+        if not live.any():
+            break
+        # the next column past r (m * n, beyond every column, once y = n)
+        target = np.where(cols > r[:, None], cols, m * n).min(axis=1)
+        saturated = np.cumsum(dy, axis=1) - dy
+        climbing = y[:, None] - saturated
+        moment = np.cumsum(dy * t, axis=1)
+        offset = moment[:, -1:] - moment + dy * t
+        need = target[:, None] - m * saturated + offset
+        step = np.maximum(climbing, 1)
+        k = ((need + step - 1) // step * (climbing > 0)).max(axis=1)
+        r = (dy * np.minimum(k[:, None] - t, m)).sum(axis=1)
+        rise = ((cols <= r[:, None]).sum(axis=1) - y) * live
+        t[:, e], dy[:, e] = k, rise
+        bounce += k * rise
+        y = y + rise
+    return bounce
 
 
 def bounce_m(p: MDyckPath) -> int:

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .discrete import BudgetExceededError, _check_size, catalan_number_m
-from .qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
+from . import qtpoly
 
 __all__ = [
     "SampleBatch",
@@ -256,28 +256,43 @@ def pushforward_histogram(
     )
 
 
+def _cell_index(num: np.ndarray, den: int, lo: Fraction, hi: Fraction, cells: int) -> np.ndarray:
+    """Cell of each coordinate num/den on [lo, hi] cut into ``cells`` equal
+    cells, half-open except the last; -1 outside.  Integer arithmetic only:
+    (num/den - lo) * cells / (hi - lo) = top / bottom below."""
+    width = hi - lo
+    scale = cells * width.denominator
+    bottom = den * lo.denominator * width.numerator
+    # plain ints (object dtype) only where int64 could overflow
+    big = max((int(np.abs(num).max(initial=0)) * lo.denominator + abs(lo.numerator) * den) * scale,
+              cells * bottom)
+    top = (num.astype(np.int64 if big < 2**62 else object) * lo.denominator
+           - lo.numerator * den) * scale
+    inside = (top >= 0) & (top <= cells * bottom)
+    return np.where(inside, np.minimum(top // bottom, cells - 1), -1).astype(np.int64)
+
+
 def bin_discrete_measure(
-    measure: DiscreteMeasure,
+    measure: qtpoly.DiscreteMeasure,
     resolution: tuple[int, int],
     bounds: tuple[Fraction, Fraction, Fraction, Fraction],
 ) -> Histogram2D:
-    """Bin rational atoms onto the grid with exact cell-index arithmetic.
+    """Bin the atoms onto the grid with exact integer cell indices.
 
     Cells are half-open on the right except the last cell, which is closed, so
-    atoms on the outer boundary are retained.
+    atoms on the outer boundary are retained.  Each weight is the float
+    nearest c / weight_den, and the weights are summed in atom order.
     """
     x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in bounds)
     cx, cy = resolution
-    cells = np.zeros(resolution)
-    total = 0.0
-    for (x, y), w in measure.atoms:
-        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-            continue
-        i = min(int((x - x_lo) * cx / (x_hi - x_lo)), cx - 1)
-        j = min(int((y - y_lo) * cy / (y_hi - y_lo)), cy - 1)
-        cells[i, j] += float(w)
-        total += float(w)
-    return Histogram2D(bounds=(x_lo, x_hi, y_lo, y_hi), resolution=resolution, cells=cells, total_weight=total)
+    i = _cell_index(measure.atoms[:, 0], measure.den, x_lo, x_hi, cx)
+    j = _cell_index(measure.atoms[:, 1], measure.den, y_lo, y_hi, cy)
+    keep = (i >= 0) & (j >= 0)
+    weights = np.array([c / measure.weight_den for c in measure.atoms[keep, 2].tolist()], dtype=float)
+    cells = np.bincount(i[keep] * cy + j[keep], weights=weights, minlength=cx * cy)
+    total = float(np.cumsum(weights)[-1]) if weights.size else 0.0  # sequential, as the cells
+    return Histogram2D(bounds=(x_lo, x_hi, y_lo, y_hi), resolution=resolution,
+                       cells=cells.reshape(resolution), total_weight=total)
 
 
 def l1_distance(h1: Histogram2D, h2: Histogram2D) -> float:
@@ -448,8 +463,10 @@ def convergence_report(
             reference = pushforward_histogram(batch, "dinv-area", resolution, bounds)
         distances = []
         for m in m_list:
-            poly = qt_catalan_dinv_area(n, m, budget=budget)
-            binned = bin_discrete_measure(to_normalized_measure(poly, n, m), resolution, bounds)
+            # looked up on the module, so that a wrapper installed there sees the calls
+            poly = qtpoly.qt_catalan_dinv_area(n, m, budget=budget)
+            mu = qtpoly.to_normalized_measure(poly, n, m)
+            binned = bin_discrete_measure(mu, resolution, bounds)
             distances.append(l1_distance(binned, reference))
     total_weights = [Fraction(catalan_number_m(n, m), m ** (n - 1)) for m in m_list]
     return {
@@ -475,7 +492,8 @@ def measure_preservation_check(
     Two independent substreams are drawn from the seed; one batch is pushed
     through the transform, and both are histogrammed over the bounding box of
     the polytope in area coordinates.  Per-cell z-scores use the two-sample
-    binomial noise floor sqrt(c1 + c2).
+    binomial noise floor sqrt(c1 + c2).  The L1 budget is the null mean of
+    the aggregate L1 plus five null standard deviations (_null_l1_moments).
     """
     seq = np.random.SeedSequence(seed)
     rng_direct, rng_transported = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -494,6 +512,8 @@ def measure_preservation_check(
     vol = polytope_volume(n)
     weight = float(vol) / count
     aggregate_l1 = float(np.abs(c_direct - c_trans).sum()) * weight
+    mean, var = _null_l1_moments(c_direct + c_trans)
+    l1_budget = (mean + 5.0 * math.sqrt(var)) * weight
     return {
         "n": n,
         "count": count,
@@ -501,8 +521,26 @@ def measure_preservation_check(
         "resolution": resolution,
         "volume": str(vol),
         "aggregate_l1": aggregate_l1,
-        "l1_budget": 0.03 * float(vol),
+        "l1_budget": l1_budget,
         "max_abs_z": float(np.abs(z).max()),
         "frac_cells_z_gt3": float((np.abs(z) > 3).sum() / max(occupied.sum(), 1)),
-        "ok": aggregate_l1 <= 0.03 * float(vol),
+        "ok": aggregate_l1 <= l1_budget,
     }
+
+
+def _null_l1_moments(pooled: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of sum |c1 - c2| over cells when each cell's pooled
+    count s splits as Binomial(s, 1/2), as it does when both batches share
+    one law: with h = ceil(s/2), E|c1 - c2| = 2h C(s, h) / 2^s exactly, and
+    the variance is s - E^2."""
+    mean = var = 0.0
+    values, cells = np.unique(pooled.astype(np.int64), return_counts=True)
+    for s, k in zip(values.tolist(), cells.tolist()):
+        if s == 0:
+            continue
+        h = (s + 1) // 2
+        e = 2 * h * math.exp(math.lgamma(s + 1) - math.lgamma(h + 1) - math.lgamma(s - h + 1)
+                             - s * math.log(2))
+        mean += k * e
+        var += k * (s - e * e)
+    return mean, var

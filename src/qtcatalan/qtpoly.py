@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
-from .discrete import _bounce_stat, _check_size, _dinv_vector, _enumerate_area_vectors
+import numpy as np
+
+from .discrete import _area_vector_blocks, _bounce_block, _check_size, _dinv_block
 
 __all__ = [
     "QtPolynomial",
@@ -63,35 +65,63 @@ class QtPolynomial:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point masses on the plane, with exact rational data."""
+    """Point masses given by integers: one row (i, j, c) of ``atoms`` puts
+    weight c / weight_den at (i / den, j / den)."""
 
-    atoms: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...]
+    atoms: np.ndarray  # int64, shape (k, 3)
+    den: int
+    weight_den: int
 
     def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.atoms), start=Fraction(0))
+        return Fraction(sum(self.atoms[:, 2].tolist()), self.weight_den)
 
 
-def _accumulate(pairs: Iterable[tuple[int, int]]) -> QtPolynomial:
-    coeffs: dict[tuple[int, int], int] = {}
-    for key in pairs:
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return QtPolynomial(coeffs)
+def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys with their summed counts, in int64."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts[order], starts)
+
+
+def _count_pairs(
+    n: int,
+    m: int,
+    stats: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> QtPolynomial:
+    """Sum of q^x t^y over all area vectors of (n, m), for (x, y) = stats(block).
+
+    Each block is counted by _merge.  The block counts wait in a list and
+    are merged into the running totals once they hold more entries than
+    the totals, so memory follows the number of distinct (x, y), never a
+    dense table of every possible pair.
+    """
+    width = m * n * n  # each statistic is below m * n^2
+    totals = (np.zeros(0, dtype=np.int64),) * 2
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    size = 0
+    for block in _area_vector_blocks(n, m):
+        x, y = stats(block)
+        pending.append(_merge(x * width + y, np.ones(len(block), dtype=np.int64)))
+        size += len(pending[-1][0])
+        if size > len(totals[0]):
+            totals = _merge(*(np.concatenate(parts) for parts in zip(totals, *pending)))
+            pending, size = [], 0
+    keys, counts = _merge(*(np.concatenate(parts) for parts in zip(totals, *pending)))
+    q, t = divmod(keys, width)
+    return QtPolynomial(dict(zip(zip(q.tolist(), t.tolist()), counts.tolist())))
 
 
 def qt_catalan_dinv_area(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^dinv(D) t^area(D) over all m-Dyck paths of height n."""
     _check_size(n, m, budget)
-    return _accumulate(
-        (_dinv_vector(av, m), sum(av)) for av in _enumerate_area_vectors(n, m)
-    )
+    return _count_pairs(n, m, lambda b: (_dinv_block(b, m), b.sum(axis=1)))
 
 
 def qt_catalan_area_bounce(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^area(D) t^bounce(D) over all m-Dyck paths of height n."""
     _check_size(n, m, budget)
-    return _accumulate(
-        (sum(av), _bounce_stat(av, m)) for av in _enumerate_area_vectors(n, m)
-    )
+    return _count_pairs(n, m, lambda b: (b.sum(axis=1), _bounce_block(b, m)))
 
 
 def transpose(p: QtPolynomial) -> QtPolynomial:
@@ -99,10 +129,6 @@ def transpose(p: QtPolynomial) -> QtPolynomial:
 
 
 def to_normalized_measure(p: QtPolynomial, n: int, m: int) -> DiscreteMeasure:
-    """Scale supports by 1/m and weights by 1/m^(n-1)."""
-    scale = Fraction(1, m ** (n - 1))
-    atoms = tuple(
-        ((Fraction(i, m), Fraction(j, m)), c * scale)
-        for i, j, c in p.canonical_terms()
-    )
-    return DiscreteMeasure(atoms)
+    """Atoms at (i/m, j/m) with weight coeff / m^(n-1), in canonical order."""
+    atoms = np.array(p.canonical_terms(), dtype=np.int64).reshape(-1, 3)
+    return DiscreteMeasure(atoms, den=m, weight_den=m ** (n - 1))

@@ -39,6 +39,15 @@ class TestPoly:
         assert code == EXIT_BUDGET
         assert "budget" in err.lower()
 
+    def test_large_m_small_n(self, capsys):
+        # a dense table of exponent pairs would hold (m n^2)^2 entries
+        m = 10**6
+        code, out, _ = run(["poly", "--n", "2", "--m", str(m), "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "q,t,coeff"
+        assert lines[1:] == [f"{m - a},{a},1" for a in range(m + 1)]
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "poly.json"
         code, _, _ = run(["poly", "--n", "3", "--m", "2", "--out", str(dest)], capsys)
@@ -145,6 +154,13 @@ class TestPreserve:
         assert json.loads(out) == report
         assert code == (EXIT_OK if report["ok"] else EXIT_CHECK_FAILURE)
 
+    def test_n5_passes_at_default_samples(self, capsys):
+        code, out, _ = run(["preserve", "--n", "5", "--seed", "0"], capsys)
+        report = json.loads(out)
+        assert report["count"] == 1_000_000
+        assert report["aggregate_l1"] <= report["l1_budget"]
+        assert code == EXIT_OK
+
 
 class TestVerify:
     def test_fast(self, capsys):
@@ -235,6 +251,20 @@ class TestByteIdentity:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f57bb44b63ce6c37364e70fa7de2274a6611a83b5df13b2ee1147cd2ec68ff99"
+        )
+
+    def test_poly_csv(self, capsys):
+        code, out, _ = run(["poly", "--n", "6", "--m", "3", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f10e5fc1c92c6c2460f14d4f607d01ac5960656be29c9fb5ed33496801e9460a"
+        )
+
+    def test_converge_json(self, capsys):
+        code, out, _ = run(["converge", "--n", "4", "--m-list", "3", "10", "50"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e6073671aba8cdf97c28b1f81c42d2cd6547a3345a1e2c40222355b396eb9d33"
         )
 
     def test_measure_csv(self, capsys, tmp_path):

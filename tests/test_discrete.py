@@ -1,8 +1,11 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from qtcatalan import discrete
 from qtcatalan.discrete import (
     BudgetExceededError,
     InvalidPathError,
@@ -79,6 +82,23 @@ class TestEnumeration:
             list(enumerate_m_dyck(6, 3, budget=10))
         assert len(list(enumerate_m_dyck(3, 1, budget=5))) == 5
 
+    def test_same_sequence_as_recursive_enumeration(self):
+        # digest of the sequence the earlier recursive enumerator produced
+        h = hashlib.sha256()
+        for n in range(1, 7):
+            for m in range(1, 4):
+                for p in enumerate_m_dyck(n, m):
+                    h.update(repr(p.area_vector).encode() + b"\n")
+        assert h.hexdigest() == "8f5a4734c6a8ee95d9dfb92c9c1ff9b454e38ca004d24475bb8c2016b8308925"
+
+    @pytest.mark.parametrize("n,m", [(2, 2500), (3, 40), (4, 9), (7, 1)])
+    def test_blocks_are_bounded_and_in_order(self, n, m):
+        blocks = list(discrete._area_vector_blocks(n, m))
+        assert all(b.dtype == np.int64 and 1 <= len(b) <= discrete._BLOCK_ROWS for b in blocks)
+        rows = [tuple(r) for b in blocks for r in b.tolist()]
+        assert len(rows) == catalan_number_m(n, m)
+        assert rows == sorted(set(rows))
+
 
 class TestAreaAndDinv:
     def test_reference_path_area(self):
@@ -150,6 +170,53 @@ class TestBounce:
         v = bp.v
         for i, h in enumerate(bp.h):
             assert h == sum(v[max(0, i - p.m + 1) : i + 1])
+
+
+@st.composite
+def tie_area_vectors(draw, max_n=7, max_m=4):
+    """Valid area vectors where some a_i - a_j lands on -m-1, -m, 0, 1, m or m+1."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(2, max_n))
+    av = [0]
+    for _ in range(n - 1):
+        targets = [a - d for a in av for d in (-m - 1, -m, 0, 1, m, m + 1)]
+        choices = [t for t in targets if 0 <= t <= av[-1] + m]
+        av.append(draw(st.sampled_from(choices) if choices else st.integers(0, av[-1] + m)))
+    return tuple(av), m
+
+
+class TestBlockKernels:
+    """The int64 block kernels against the scalar oracles _dinv_vector and _bounce_stat."""
+
+    @staticmethod
+    def check(vectors, m):
+        block = np.array(vectors, dtype=np.int64)
+        assert discrete._dinv_block(block, m).tolist() == [discrete._dinv_vector(v, m) for v in vectors]
+        assert discrete._bounce_block(block, m).tolist() == [discrete._bounce_stat(v, m) for v in vectors]
+
+    @given(m_dyck_paths(max_n=8, max_m=6))
+    @example(MDyckPath(n=5, m=2, area_vector=(0, 1, 0, 2, 3)))  # a run of height 0
+    @example(MDyckPath(n=4, m=3, area_vector=(0, 0, 0, 0)))  # runs of height 0 only
+    @example(MDyckPath(n=4, m=3, area_vector=(0, 3, 6, 9)))  # one run
+    @example(MDyckPath(n=3, m=1000, area_vector=(0, 999, 1)))
+    def test_single_paths(self, p):
+        self.check([p.area_vector], p.m)
+
+    @given(tie_area_vectors())
+    def test_tie_inputs(self, case):
+        av, m = case
+        self.check([av], m)
+
+    def test_sc_closed_form(self):
+        for m in range(1, 8):
+            for d in range(-3 * m - 3, 3 * m + 4):
+                assert max(0, 2 * m + 1 - abs(2 * d - 1)) // 2 == sc_m(d, m)
+
+    @pytest.mark.parametrize("n,m", [(5, 3), (6, 2), (3, 30)])
+    def test_whole_blocks(self, n, m):
+        # rows of one block sit at different depths of the bounce walk
+        for block in discrete._area_vector_blocks(n, m):
+            self.check([tuple(r) for r in block.tolist()], m)
 
 
 class TestPhi:

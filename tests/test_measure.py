@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qtcatalan import measure
+from qtcatalan import measure, qtpoly
 from qtcatalan.continuous import (
     BounceVector,
     ContinuousPath,
@@ -35,6 +35,44 @@ from qtcatalan.measure import (
     sample_area_polytope,
 )
 from qtcatalan.qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
+
+
+def _measure(*rows, den=1, weight_den=1):
+    return DiscreteMeasure(np.array(rows, dtype=np.int64).reshape(-1, 3), den, weight_den)
+
+
+@st.composite
+def discrete_measures(draw):
+    rows = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(1, 10**15)),
+                         max_size=30))
+    return _measure(*rows, den=draw(st.integers(1, 12)), weight_den=draw(st.integers(1, 10**18)))
+
+
+@st.composite
+def bin_grids(draw):
+    """A resolution and bounds whose ends and widths are small fractions, so
+    that atoms often fall on cell edges and on the outer boundary."""
+    resolution = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    bounds = []
+    for _ in range(2):
+        lo = F(draw(st.integers(-6, 12)), draw(st.integers(1, 6)))
+        bounds += [lo, lo + F(draw(st.integers(1, 30)), draw(st.integers(1, 6)))]
+    return resolution, tuple(bounds)
+
+
+def _bin_with_fractions(mu, resolution, bounds):
+    """Reference binning: one Fraction location and weight per atom."""
+    x_lo, x_hi, y_lo, y_hi = bounds
+    cx, cy = resolution
+    cells = np.zeros(resolution)
+    total = 0.0
+    for i, j, c in mu.atoms.tolist():
+        x, y, w = F(i, mu.den), F(j, mu.den), float(F(c, mu.weight_den))
+        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+            cells[min(int((x - x_lo) * cx / (x_hi - x_lo)), cx - 1),
+                  min(int((y - y_lo) * cy / (y_hi - y_lo)), cy - 1)] += w
+            total += w
+    return cells, total
 
 
 @st.composite
@@ -203,26 +241,39 @@ class TestHistogram:
 
     def test_bin_discrete_boundary_inclusion(self):
         # atom exactly on the upper corner must land in the last (closed) cell
-        m = DiscreteMeasure(atoms=(((F(3), F(3)), F(1)), ((F(0), F(0)), F(2))))
+        m = _measure((3, 3, 1), (0, 0, 2))
         h = bin_discrete_measure(m, (6, 6), default_bounds(3))
         assert h.cells[5, 5] == 1.0
         assert h.cells[0, 0] == 2.0
         assert h.total_weight == 3.0
 
     def test_l1_requires_matching_grids(self):
-        m = DiscreteMeasure(atoms=(((F(0), F(0)), F(1)),))
+        m = _measure((0, 0, 1))
         h1 = bin_discrete_measure(m, (4, 4), default_bounds(3))
         h2 = bin_discrete_measure(m, (5, 5), default_bounds(3))
         with pytest.raises(ValueError):
             l1_distance(h1, h2)
 
     def test_transpose_deviation_symmetric_input(self):
-        m = DiscreteMeasure(atoms=(((F(1), F(2)), F(1)), ((F(2), F(1)), F(1))))
+        m = _measure((1, 2, 1), (2, 1, 1))
         h = bin_discrete_measure(m, (6, 6), default_bounds(3))
         assert h.transpose_deviation() == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(discrete_measures(), bin_grids())
+    @example(_measure((0, 0, 1), (7, 3, 5), (3, 7, 2), den=10**12, weight_den=3),
+             ((3, 2), (F(1, 10**12), F(1, 10**11), F(0), F(1, 10**12))))
+    @example(_measure((5, 0, 1), (40, 40, 3), den=7), ((4, 4), (F(0), F(10**20), F(-1, 3), F(6))))
+    def test_bin_discrete_matches_fraction_binning(self, mu, grid):
+        resolution, bounds = grid
+        h = bin_discrete_measure(mu, resolution, bounds)
+        cells, total = _bin_with_fractions(mu, resolution, bounds)
+        assert np.array_equal(h.cells, cells)  # same floats, added in the same order
+        assert h.total_weight == total
+        assert h.bounds == bounds
+
     def test_csv_shape(self):
-        m = DiscreteMeasure(atoms=(((F(0), F(0)), F(1)),))
+        m = _measure((0, 0, 1))
         h = bin_discrete_measure(m, (2, 2), default_bounds(2))
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "x_lo,x_hi,y_lo,y_hi,weight"
@@ -323,6 +374,16 @@ class TestConvergenceReport:
         assert d[2] < d[0]
         assert rep["limit_weight"] == "1"
 
+    def test_polynomials_come_from_qtpoly_module(self, monkeypatch):
+        # per-layer tracing wraps the qtpoly module attributes
+        seen = []
+        for name in ("qt_catalan_dinv_area", "to_normalized_measure"):
+            original = getattr(qtpoly, name)
+            monkeypatch.setattr(qtpoly, name,
+                                lambda *a, _f=original, _n=name, **k: seen.append(_n) or _f(*a, **k))
+        convergence_report(4, [2, 3], resolution=(6, 6))
+        assert seen == ["qt_catalan_dinv_area", "to_normalized_measure"] * 2
+
     def test_n4_exact_reference(self):
         rep = convergence_report(4, [1, 3], resolution=(10, 10))
         assert rep["total_weights"] == ["14", "140/27"]
@@ -339,3 +400,33 @@ class TestPreservation:
         rep = measure_preservation_check(3, count=200000, seed=1, resolution=6)
         assert rep["ok"]
         assert rep["max_abs_z"] < 6.0
+
+    def test_null_moments_match_binomial_enumeration(self):
+        pooled = np.array([0, 1, 2, 3, 7, 7, 12, 25])
+        mean, var = measure._null_l1_moments(pooled)
+        exp_mean = exp_var = F(0)
+        for s in pooled.tolist():
+            dist = [(abs(2 * k - s), F(math.comb(s, k), 2**s)) for k in range(s + 1)]
+            e = sum((d * p for d, p in dist), F(0))
+            exp_mean += e
+            exp_var += sum((d * d * p for d, p in dist), F(0)) - e * e
+        assert mean == pytest.approx(float(exp_mean), rel=1e-12)
+        assert var == pytest.approx(float(exp_var), rel=1e-12)
+
+    def test_small_sample_counts_pass(self):
+        # a budget fixed at 0.03 vol failed all three seeds at 10^5 samples
+        for seed in range(3):
+            assert measure_preservation_check(4, count=100_000, seed=seed)["ok"]
+
+    def test_shifted_transport_fails(self, monkeypatch):
+        transform = measure.batch_transform_T
+
+        def shifted(points):
+            out = transform(points)
+            out[:, -1] += 0.02
+            return out
+
+        monkeypatch.setattr(measure, "batch_transform_T", shifted)
+        rep = measure_preservation_check(4, count=1_000_000, seed=0)
+        assert rep["aggregate_l1"] > 1.2 * rep["l1_budget"]
+        assert not rep["ok"]

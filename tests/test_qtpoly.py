@@ -1,10 +1,19 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qtcatalan.discrete import BudgetExceededError, catalan_number_m
+from qtcatalan import qtpoly
+from qtcatalan.discrete import (
+    BudgetExceededError,
+    area_m,
+    bounce_m,
+    catalan_number_m,
+    dinv_m,
+    enumerate_m_dyck,
+)
 from qtcatalan.qtpoly import (
     QtPolynomial,
     qt_catalan_area_bounce,
@@ -81,6 +90,26 @@ class TestCatalanPolynomials:
         with pytest.raises(BudgetExceededError):
             qt_catalan_dinv_area(6, 3, budget=100)
 
+    def test_budget_checked_before_enumerating(self, monkeypatch):
+        def refuse(n, m):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(qtpoly, "_area_vector_blocks", refuse)
+        for construct in (qt_catalan_dinv_area, qt_catalan_area_bounce):
+            with pytest.raises(BudgetExceededError):
+                construct(6, 3, budget=10)
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(n, m) for n in range(1, 7) for m in range(1, 4)]
+        # the other six `poly` points of the benchmark; (6, 3) is above
+        + [(7, 2), (5, 6), (5, 7), (8, 2), (7, 3), (4, 20)],
+    )
+    def test_block_kernels_match_scalar_sum(self, n, m):
+        paths = list(enumerate_m_dyck(n, m))
+        assert qt_catalan_dinv_area(n, m).coeffs == Counter((dinv_m(p), area_m(p)) for p in paths)
+        assert qt_catalan_area_bounce(n, m).coeffs == Counter((area_m(p), bounce_m(p)) for p in paths)
+
 
 def _marginal_q1(p):
     """Coefficients of p(1, t), indexed by the t-exponent."""
@@ -107,10 +136,8 @@ class TestSpecialization:
 class TestNormalizedMeasure:
     def test_n2_m1_atoms(self):
         mu = to_normalized_measure(qt_catalan_dinv_area(2, 1), 2, 1)
-        assert set(mu.atoms) == {
-            ((Fraction(1), Fraction(0)), Fraction(1)),
-            ((Fraction(0), Fraction(1)), Fraction(1)),
-        }
+        assert mu.atoms.tolist() == [[1, 0, 1], [0, 1, 1]]
+        assert (mu.den, mu.weight_den) == (1, 1)
 
     def test_total_weight_large_m(self):
         mu = to_normalized_measure(qt_catalan_dinv_area(4, 50), 4, 50)
@@ -118,10 +145,12 @@ class TestNormalizedMeasure:
 
     def test_height_one(self):
         mu = to_normalized_measure(qt_catalan_dinv_area(1, 9), 1, 9)
-        assert mu.atoms == (((Fraction(0), Fraction(0)), Fraction(1)),)
+        assert mu.atoms.tolist() == [[0, 0, 1]]
+        assert (mu.den, mu.weight_den) == (9, 1)
 
     def test_consolidation(self):
-        # one atom per term: no location repeats, so nothing needs merging
+        # one atom per term, in canonical order: no location repeats
         p = qt_catalan_dinv_area(4, 3)
-        locations = [loc for loc, _ in to_normalized_measure(p, 4, 3).atoms]
-        assert len(set(locations)) == len(locations) == len(p.coeffs)
+        atoms = to_normalized_measure(p, 4, 3).atoms
+        assert [tuple(row) for row in atoms.tolist()] == list(p.canonical_terms())
+        assert len({(i, j) for i, j, _ in atoms.tolist()}) == len(p.coeffs)
