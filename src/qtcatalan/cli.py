@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import continuous, discrete, measure, qtpoly
 
 DEFAULT_BUDGET = 10_000_000
+MAX_GRID_CELLS = 10**6  # histograms and density grids are dense arrays of this many cells
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -31,6 +32,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 60x60, got {text!r}") from exc
     if w < 1 or h < 1:
         raise argparse.ArgumentTypeError(f"grid sizes must be positive, got {text!r}")
+    if w * h > MAX_GRID_CELLS:
+        raise argparse.ArgumentTypeError(f"grid has more than {MAX_GRID_CELLS:,} cells, got {text!r}")
     return (w, h)
 
 

@@ -328,6 +328,20 @@ _DENSITY_N4_TRIANGLES: list[tuple[list[tuple[Fraction, Fraction]], tuple[Fractio
 ]
 
 
+def _inward_edges(
+    tri: list[tuple[Fraction, Fraction]],
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Coefficients (A, B, C) of the three edge lines A*x + B*y + C of a
+    triangle, signed so that the closed triangle is where all three are >= 0."""
+    (x0, y0), (x1, y1), (x2, y2) = tri
+    sign = 1 if (x1 - x0) * (y2 - y0) > (x2 - x0) * (y1 - y0) else -1
+    return [(sign * (ay - by), sign * (bx - ax), sign * (ax * by - ay * bx))
+            for (ax, ay), (bx, by) in zip(tri, tri[1:] + tri[:1])]
+
+
+_DENSITY_N4_EDGES = [_inward_edges(tri) for tri, _ in _DENSITY_N4_TRIANGLES]
+
+
 def exact_density_n4(x: float, y: float) -> float:
     """Density of the height-4 pushforward measure at (x, y), from the first
     closed triangle of _DENSITY_N4_TRIANGLES that holds the exact value of
@@ -335,10 +349,8 @@ def exact_density_n4(x: float, y: float) -> float:
     jumps, depends on the closed convention.
     """
     X, Y = Fraction(x), Fraction(y)
-    for tri, (alpha, beta, gamma) in _DENSITY_N4_TRIANGLES:
-        crosses = [(bx - ax) * (Y - ay) - (by - ay) * (X - ax)
-                   for (ax, ay), (bx, by) in zip(tri, tri[1:] + tri[:1])]
-        if all(c >= 0 for c in crosses) or all(c <= 0 for c in crosses):
+    for (_, (alpha, beta, gamma)), edges in zip(_DENSITY_N4_TRIANGLES, _DENSITY_N4_EDGES):
+        if all(a * X + b * Y + c >= 0 for a, b, c in edges):
             return float(alpha * X + beta * Y + gamma)
     return 0.0
 
@@ -396,36 +408,93 @@ def density_n4_total_integral() -> Fraction:
     )
 
 
+def _plane(a: int, b: int, c: int, xs: list[int], ys: list[int]) -> np.ndarray:
+    """a*x + b*y + c at every (x, y) in xs × ys, in int64, or in plain ints
+    (object dtype) where int64 could overflow."""
+    big = abs(a) * (max(map(abs, xs)) + 1) + abs(b) * (max(map(abs, ys)) + 1) + abs(c)
+    dtype = np.int64 if big < 2**62 else object
+    return a * np.array(xs, dtype=dtype)[:, None] + b * np.array(ys, dtype=dtype)[None, :] + c
+
+
+def _all_corners(mask: np.ndarray) -> np.ndarray:
+    """Cells of a corner lattice whose four corners are all set in mask."""
+    return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+
+
+def _common_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A positive integer d and the integers d * v, for d the lcm of the
+    denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [int(v * d) for v in values]
+
+
 def density_n4_cell_integrals(
     resolution: tuple[int, int] = (60, 60),
     bounds: tuple[Fraction, Fraction, Fraction, Fraction] | None = None,
 ) -> Histogram2D:
-    """Exact per-cell integrals of the height-4 density, as a histogram."""
+    """Exact per-cell integrals of the height-4 density, as a histogram.
+
+    Grid line i is xs[i] / den_x (and j, ys[j] / den_y) with integer xs, ys,
+    and each triangle's inward edge lines are evaluated at every grid corner
+    in integers.  A cell whose four corners lie in the closed triangle lies
+    in it, so its integral is its area times the density at its centre.  A
+    cell whose four corners lie on the outer side of one edge meets the
+    triangle in at most a segment, which carries no mass.  Only the cells
+    left, those an edge crosses, are clipped.  Each cell weight is the float
+    nearest its exact integral, added triangle by triangle; the total is
+    summed exactly.
+    """
     if bounds is None:
         bounds = default_bounds(4)
     x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in bounds)
     cx, cy = resolution
     dx = (x_hi - x_lo) / cx
     dy = (y_hi - y_lo) / cy
+    den_x = math.lcm(x_lo.denominator, dx.denominator)
+    den_y = math.lcm(y_lo.denominator, dy.denominator)
+    area = dx * dy
     cells = np.zeros(resolution)
     total = Fraction(0)
-    for tri, coeffs in _DENSITY_N4_TRIANGLES:
+    for (tri, coeffs), edges in zip(_DENSITY_N4_TRIANGLES, _DENSITY_N4_EDGES):
         txs = [p[0] for p in tri]
         tys = [p[1] for p in tri]
         i_min = max(int((min(txs) - x_lo) / dx), 0)
         i_max = min(int((max(txs) - x_lo) / dx) + 1, cx)
         j_min = max(int((min(tys) - y_lo) / dy), 0)
         j_max = min(int((max(tys) - y_lo) / dy) + 1, cy)
-        for i in range(i_min, i_max):
+        if i_min >= i_max or j_min >= j_max:
+            continue
+        xs = [int((x_lo + i * dx) * den_x) for i in range(i_min, i_max + 1)]
+        ys = [int((y_lo + j * dy) * den_y) for j in range(j_min, j_max + 1)]
+        sides = [_plane(a * den_y, b * den_x, c * den_x * den_y, xs, ys)
+                 for _, (a, b, c) in map(_common_scale, edges)]
+        interior = np.logical_and.reduce([_all_corners(side >= 0) for side in sides])
+        disjoint = np.logical_or.reduce([_all_corners(side <= 0) for side in sides])
+        # interior cells: area * f(centre), with 2 * centre = (xs[i] + xs[i+1]) / den_x
+        g, (alpha, beta, gamma) = _common_scale(coeffs)
+        num = _plane(area.numerator * alpha * den_y, area.numerator * beta * den_x,
+                     2 * area.numerator * gamma * den_x * den_y,
+                     [u + v for u, v in zip(xs, xs[1:])], [u + v for u, v in zip(ys, ys[1:])])
+        den = 2 * area.denominator * g * den_x * den_y
+        inner = num[interior].tolist()
+        block = np.zeros(interior.shape)
+        block[interior] = [v / den for v in inner]  # int / int is correctly rounded, as float(Fraction)
+        total += Fraction(sum(inner), den)
+        # the cells an edge crosses, clipped one column at a time
+        crossed = ~interior & ~disjoint
+        for di in np.flatnonzero(crossed.any(axis=1)).tolist():
+            i = i_min + di
             col = _clip_polygon(tri, 0, x_lo + i * dx, x_lo + (i + 1) * dx)
             if not col:
                 continue
-            for j in range(j_min, j_max):
+            for dj in np.flatnonzero(crossed[di]).tolist():
+                j = j_min + dj
                 cell_poly = _clip_polygon(col, 1, y_lo + j * dy, y_lo + (j + 1) * dy)
                 if len(cell_poly) >= 3:
                     val = _integrate_linear_over_polygon(cell_poly, coeffs)
-                    cells[i, j] += float(val)
+                    block[di, dj] = float(val)
                     total += val
+        cells[i_min:i_max, j_min:j_max] += block
     return Histogram2D(
         bounds=(x_lo, x_hi, y_lo, y_hi),
         resolution=resolution,

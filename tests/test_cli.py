@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qtcatalan.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, main
+from qtcatalan.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, _parse_grid, main
 from qtcatalan.measure import measure_preservation_check
 
 
@@ -208,6 +208,25 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["measure", "--n", "4", "--grid", "40000x40000"],
+            ["converge", "--n", "4", "--m-list", "3", "--grid", "1001x1000"],
+        ],
+    )
+    def test_grid_over_cell_cap_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "1,000,000 cells" in err and "Traceback" not in err
+
+    def test_grid_at_cell_cap_parses(self):
+        assert _parse_grid("1000x1000") == (1000, 1000)
+        assert _parse_grid("1x1000000") == (1, 1000000)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["measure", "--n", "20", "--samples", "1"],
             ["preserve", "--n", "16"],
             ["measure", "--n", "4", "--samples", "20000000"],
@@ -277,6 +296,18 @@ class TestByteIdentity:
         assert code == EXIT_OK
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
             "a81fd582f98e336b97febf7bdb830a1e43ecc4584a78186a50fb9311354bfb07"
+        )
+
+    def test_measure_n4_summary(self, capsys, tmp_path):
+        code, out, _ = run(
+            ["measure", "--n", "4", "--map", "area-bounce", "--samples", "20000",
+             "--seed", "11", "--grid", "60x60", "--out", str(tmp_path / "h.csv")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert "l1_to_exact_density" in json.loads(out)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "17b87ac848f1b7c6c82ad4777f8aad1633115061aeaccf820cbad816b232d00d"
         )
 
     def test_measure_csv_over_many_blocks(self, capsys, tmp_path):

@@ -76,6 +76,53 @@ def _bin_with_fractions(mu, resolution, bounds):
 
 
 @st.composite
+def density_grids(draw):
+    """A resolution of 1 to 40 cells per axis and rational bounds that either
+    cut the support [0, 6]^2 of the height-4 density or contain it."""
+    resolution = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    wide = draw(st.booleans())
+    bounds = []
+    for _ in range(2):
+        if wide:
+            lo = -F(draw(st.integers(0, 12)), draw(st.integers(1, 6)))
+            hi = 6 + F(draw(st.integers(0, 12)), draw(st.integers(1, 6)))
+        else:
+            lo = F(draw(st.integers(-6, 30)), draw(st.integers(1, 6)))
+            hi = lo + F(draw(st.integers(1, 24)), draw(st.integers(1, 6)))
+        bounds += [lo, hi]
+    return resolution, tuple(bounds)
+
+
+def _cell_integrals_by_clipping(resolution, bounds):
+    """Reference cell integrals: every cell of each triangle's bounding box
+    clipped against the triangle in Fractions and integrated."""
+    x_lo, x_hi, y_lo, y_hi = bounds
+    cx, cy = resolution
+    dx = (x_hi - x_lo) / cx
+    dy = (y_hi - y_lo) / cy
+    cells = np.zeros(resolution)
+    total = F(0)
+    for tri, coeffs in measure._DENSITY_N4_TRIANGLES:
+        txs = [p[0] for p in tri]
+        tys = [p[1] for p in tri]
+        i_min = max(int((min(txs) - x_lo) / dx), 0)
+        i_max = min(int((max(txs) - x_lo) / dx) + 1, cx)
+        j_min = max(int((min(tys) - y_lo) / dy), 0)
+        j_max = min(int((max(tys) - y_lo) / dy) + 1, cy)
+        for i in range(i_min, i_max):
+            col = measure._clip_polygon(tri, 0, x_lo + i * dx, x_lo + (i + 1) * dx)
+            if not col:
+                continue
+            for j in range(j_min, j_max):
+                cell_poly = measure._clip_polygon(col, 1, y_lo + j * dy, y_lo + (j + 1) * dy)
+                if len(cell_poly) >= 3:
+                    val = measure._integrate_linear_over_polygon(cell_poly, coeffs)
+                    cells[i, j] += float(val)
+                    total += val
+    return cells, float(total)
+
+
+@st.composite
 def coarse_paths(draw, max_n=7):
     """Paths on a coarse grid, where a_j = a_{j-1} + 1, a_j = 0 and equal
     coordinates are frequent."""
@@ -329,6 +376,27 @@ class TestDensityN4:
     def test_density_symmetric_on_grid(self):
         h = density_n4_cell_integrals((20, 20))
         assert h.transpose_deviation() < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(density_grids())
+    @example(((60, 60), default_bounds(4)))
+    @example(((1, 1), default_bounds(4)))
+    @example(((6, 6), default_bounds(4)))  # lines through (2,2), (1,3), (3,1)
+    @example(((12, 12), (F(-1), F(5), F(1), F(7))))
+    @example(((4, 4), (F(0), F(4), F(0), F(4))))  # corners along x + y = 4
+    @example(((8, 8), (F(1), F(3), F(1), F(3))))  # corners along x + y = 4, near the peak
+    @example(((7, 13), (F(1, 3), F(19, 3), F(-1, 7), F(40, 7))))
+    # integers beyond 2**53, and lattices beyond int64 (object dtype)
+    @example(((9, 11), (F(0), F(6), F(1), 6 - F(1, 10**7 + 19))))
+    @example(((9, 11), (F(1, 10**12), 6 + F(1, 10**12), F(0), F(6, 10**15 + 7))))
+    @example(((9, 11), (F(1, 10**20), 6 + F(3, 10**19), F(-1, 3**40), F(6))))
+    @example(((9, 11), (F(-1, 2**70), F(7), F(0), F(7))))
+    def test_cell_integrals_match_clipping_every_cell(self, grid):
+        resolution, bounds = grid
+        h = density_n4_cell_integrals(resolution, bounds)
+        cells, total = _cell_integrals_by_clipping(resolution, bounds)
+        assert np.array_equal(h.cells.view(np.int64), cells.view(np.int64))
+        assert h.total_weight == total
 
     def test_table_moments_match_discrete_limit(self):
         # S_ij(m) = sum of c * dinv^i * area^j over the terms of C^(m)_4 is a
