@@ -162,17 +162,7 @@ def dinv_m(p: MDyckPath) -> int:
 
 
 def _dinv_vector(av: Sequence[int], m: int) -> int:
-    total = 0
-    n = len(av)
-    for i in range(n):
-        ai = av[i]
-        for j in range(i + 1, n):
-            d = ai - av[j]
-            if 1 <= d <= m:
-                total += m + 1 - d
-            elif -m <= d <= 0:
-                total += m + d
-    return total
+    return sum(sc_m(x - y, m) for x, y in itertools.combinations(av, 2))
 
 
 def _dinv_block(block: np.ndarray, m: int) -> np.ndarray:
@@ -202,11 +192,12 @@ def _bounce_runs(cols: Sequence, m: int) -> tuple[list[int], list[int]]:
     h: list[int] = []
     r = 0  # horizontal position
     y = 0  # height
+    step = 0  # sum of the last m vertical runs
     while r < m * n:
         height = bisect.bisect_right(cols, r)
         v.append(height - y)
         y = height
-        step = sum(v[-m:])
+        step += v[-1] - (v[-m - 1] if len(v) > m else 0)
         if step == 0:
             raise InvalidPathError("bounce path stalled; area vector is invalid")
         h.append(step)

@@ -228,12 +228,9 @@ def pushforward_histogram(
     batch: SampleBatch,
     map_choice: MapChoice,
     resolution: tuple[int, int] = (60, 60),
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction] | None = None,
 ) -> Histogram2D:
-    """Histogram the image of a sample batch; each sample carries weight
-    vol(A_n) / count so the total weight is the polytope volume."""
-    if bounds is None:
-        bounds = default_bounds(batch.n)
+    """Histogram the image of a sample batch on default_bounds(n); each sample
+    carries weight vol(A_n) / count so the total weight is the polytope volume."""
     if map_choice == "dinv-area":
         xs = batch_dinv(batch.points)
         ys = batch_area(batch.points)
@@ -242,10 +239,9 @@ def pushforward_histogram(
         ys = batch_bounce(batch.points)
     else:
         raise ValueError(f"unknown map choice {map_choice!r}")
-    x_lo, x_hi, y_lo, y_hi = (float(v) for v in bounds)
-    cells, _, _ = np.histogram2d(
-        xs, ys, bins=resolution, range=[[x_lo, x_hi], [y_lo, y_hi]]
-    )
+    bounds = default_bounds(batch.n)
+    hi = float(bounds[1])
+    cells, _, _ = np.histogram2d(xs, ys, bins=resolution, range=[[0.0, hi], [0.0, hi]])
     weight = float(polytope_volume(batch.n)) / batch.count
     cells *= weight
     return Histogram2D(
@@ -256,42 +252,37 @@ def pushforward_histogram(
     )
 
 
-def _cell_index(num: np.ndarray, den: int, lo: Fraction, hi: Fraction, cells: int) -> np.ndarray:
-    """Cell of each coordinate num/den on [lo, hi] cut into ``cells`` equal
-    cells, half-open except the last; -1 outside.  Integer arithmetic only:
-    (num/den - lo) * cells / (hi - lo) = top / bottom below."""
-    width = hi - lo
-    scale = cells * width.denominator
-    bottom = den * lo.denominator * width.numerator
-    # plain ints (object dtype) only where int64 could overflow
-    big = max((int(np.abs(num).max(initial=0)) * lo.denominator + abs(lo.numerator) * den) * scale,
-              cells * bottom)
-    top = (num.astype(np.int64 if big < 2**62 else object) * lo.denominator
-           - lo.numerator * den) * scale
-    inside = (top >= 0) & (top <= cells * bottom)
-    return np.where(inside, np.minimum(top // bottom, cells - 1), -1).astype(np.int64)
+def _cell_index(num: np.ndarray, den: int, hi: int, cells: int) -> np.ndarray:
+    """Cell of each int64 coordinate num/den on [0, hi] cut into ``cells``
+    equal cells, half-open except the last; -1 outside."""
+    top = den * hi
+    if max(int(np.abs(num).max(initial=0)), top) * cells >= 2**62:
+        raise ValueError("atom coordinates too large for int64 cell indices")
+    inside = (num >= 0) & (num <= top)
+    return np.where(inside, np.minimum(num * cells // top, cells - 1), -1)
 
 
 def bin_discrete_measure(
     measure: qtpoly.DiscreteMeasure,
     resolution: tuple[int, int],
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction],
+    n: int,
 ) -> Histogram2D:
-    """Bin the atoms onto the grid with exact integer cell indices.
+    """Bin the atoms onto the grid over default_bounds(n) with exact integer
+    cell indices.
 
     Cells are half-open on the right except the last cell, which is closed, so
     atoms on the outer boundary are retained.  Each weight is the float
     nearest c / weight_den, and the weights are summed in atom order.
     """
-    x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in bounds)
+    hi = int(default_bounds(n)[1])
     cx, cy = resolution
-    i = _cell_index(measure.atoms[:, 0], measure.den, x_lo, x_hi, cx)
-    j = _cell_index(measure.atoms[:, 1], measure.den, y_lo, y_hi, cy)
+    i = _cell_index(measure.atoms[:, 0], measure.den, hi, cx)
+    j = _cell_index(measure.atoms[:, 1], measure.den, hi, cy)
     keep = (i >= 0) & (j >= 0)
     weights = np.array([c / measure.weight_den for c in measure.atoms[keep, 2].tolist()], dtype=float)
     cells = np.bincount(i[keep] * cy + j[keep], weights=weights, minlength=cx * cy)
     total = float(np.cumsum(weights)[-1]) if weights.size else 0.0  # sequential, as the cells
-    return Histogram2D(bounds=(x_lo, x_hi, y_lo, y_hi), resolution=resolution,
+    return Histogram2D(bounds=default_bounds(n), resolution=resolution,
                        cells=cells.reshape(resolution), total_weight=total)
 
 
@@ -408,95 +399,60 @@ def density_n4_total_integral() -> Fraction:
     )
 
 
-def _plane(a: int, b: int, c: int, xs: list[int], ys: list[int]) -> np.ndarray:
-    """a*x + b*y + c at every (x, y) in xs × ys, in int64, or in plain ints
-    (object dtype) where int64 could overflow."""
-    big = abs(a) * (max(map(abs, xs)) + 1) + abs(b) * (max(map(abs, ys)) + 1) + abs(c)
-    dtype = np.int64 if big < 2**62 else object
-    return a * np.array(xs, dtype=dtype)[:, None] + b * np.array(ys, dtype=dtype)[None, :] + c
-
-
 def _all_corners(mask: np.ndarray) -> np.ndarray:
     """Cells of a corner lattice whose four corners are all set in mask."""
     return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
 
 
-def _common_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """A positive integer d and the integers d * v, for d the lcm of the
-    denominators."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [int(v * d) for v in values]
+def density_n4_cell_integrals(resolution: tuple[int, int] = (60, 60)) -> Histogram2D:
+    """Exact per-cell integrals of the height-4 density over default_bounds(4)
+    = [0, 6]^2, as a histogram.
 
-
-def density_n4_cell_integrals(
-    resolution: tuple[int, int] = (60, 60),
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction] | None = None,
-) -> Histogram2D:
-    """Exact per-cell integrals of the height-4 density, as a histogram.
-
-    Grid line i is xs[i] / den_x (and j, ys[j] / den_y) with integer xs, ys,
-    and each triangle's inward edge lines are evaluated at every grid corner
-    in integers.  A cell whose four corners lie in the closed triangle lies
-    in it, so its integral is its area times the density at its centre.  A
-    cell whose four corners lie on the outer side of one edge meets the
-    triangle in at most a segment, which carries no mass.  Only the cells
-    left, those an edge crosses, are clipped.  Each cell weight is the float
+    Scaled by cx * cy, grid corner (i, j) is the integer point
+    (6 * cy * i, 6 * cx * j), so each triangle's inward edge lines are
+    evaluated at every grid corner in int64.  A cell whose four corners lie in
+    the closed triangle lies in it, so its integral is its area times the
+    density at its centre.  A cell whose four corners lie on the outer side of
+    one edge meets the triangle in at most a segment, which carries no mass.
+    Only the cells left, those an edge crosses (or that only an axis
+    separates from the triangle), are clipped.  Each cell weight is the float
     nearest its exact integral, added triangle by triangle; the total is
     summed exactly.
     """
-    if bounds is None:
-        bounds = default_bounds(4)
-    x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in bounds)
     cx, cy = resolution
-    dx = (x_hi - x_lo) / cx
-    dy = (y_hi - y_lo) / cy
-    den_x = math.lcm(x_lo.denominator, dx.denominator)
-    den_y = math.lcm(y_lo.denominator, dy.denominator)
-    area = dx * dy
+    dx, dy = Fraction(6, cx), Fraction(6, cy)
+    xs = 6 * cy * np.arange(cx + 1, dtype=np.int64)[:, None]
+    ys = 6 * cx * np.arange(cy + 1, dtype=np.int64)[None, :]
+    mid_x = xs[:-1] + xs[1:]  # twice the scaled cell centres
+    mid_y = ys[:, :-1] + ys[:, 1:]
     cells = np.zeros(resolution)
     total = Fraction(0)
     for (tri, coeffs), edges in zip(_DENSITY_N4_TRIANGLES, _DENSITY_N4_EDGES):
-        txs = [p[0] for p in tri]
-        tys = [p[1] for p in tri]
-        i_min = max(int((min(txs) - x_lo) / dx), 0)
-        i_max = min(int((max(txs) - x_lo) / dx) + 1, cx)
-        j_min = max(int((min(tys) - y_lo) / dy), 0)
-        j_max = min(int((max(tys) - y_lo) / dy) + 1, cy)
-        if i_min >= i_max or j_min >= j_max:
-            continue
-        xs = [int((x_lo + i * dx) * den_x) for i in range(i_min, i_max + 1)]
-        ys = [int((y_lo + j * dy) * den_y) for j in range(j_min, j_max + 1)]
-        sides = [_plane(a * den_y, b * den_x, c * den_x * den_y, xs, ys)
-                 for _, (a, b, c) in map(_common_scale, edges)]
+        sides = [int(a) * xs + int(b) * ys + int(c) * cx * cy for a, b, c in edges]
         interior = np.logical_and.reduce([_all_corners(side >= 0) for side in sides])
         disjoint = np.logical_or.reduce([_all_corners(side <= 0) for side in sides])
-        # interior cells: area * f(centre), with 2 * centre = (xs[i] + xs[i+1]) / den_x
-        g, (alpha, beta, gamma) = _common_scale(coeffs)
-        num = _plane(area.numerator * alpha * den_y, area.numerator * beta * den_x,
-                     2 * area.numerator * gamma * den_x * den_y,
-                     [u + v for u, v in zip(xs, xs[1:])], [u + v for u, v in zip(ys, ys[1:])])
-        den = 2 * area.denominator * g * den_x * den_y
+        # interior cells: area * f(centre) = 36 * num / den, with f(centre) = num / (2 g cx cy)
+        g = math.lcm(*(v.denominator for v in coeffs))
+        alpha, beta, gamma = (int(v * g) for v in coeffs)
+        num = alpha * mid_x + beta * mid_y + 2 * gamma * cx * cy
+        den = 2 * g * (cx * cy) ** 2
         inner = num[interior].tolist()
-        block = np.zeros(interior.shape)
-        block[interior] = [v / den for v in inner]  # int / int is correctly rounded, as float(Fraction)
-        total += Fraction(sum(inner), den)
+        cells[interior] += [36 * v / den for v in inner]  # int / int is correctly rounded, as float(Fraction)
+        total += Fraction(36 * sum(inner), den)
         # the cells an edge crosses, clipped one column at a time
         crossed = ~interior & ~disjoint
-        for di in np.flatnonzero(crossed.any(axis=1)).tolist():
-            i = i_min + di
-            col = _clip_polygon(tri, 0, x_lo + i * dx, x_lo + (i + 1) * dx)
+        for i in np.flatnonzero(crossed.any(axis=1)).tolist():
+            col = _clip_polygon(tri, 0, i * dx, (i + 1) * dx)
             if not col:
                 continue
-            for dj in np.flatnonzero(crossed[di]).tolist():
-                j = j_min + dj
-                cell_poly = _clip_polygon(col, 1, y_lo + j * dy, y_lo + (j + 1) * dy)
+            for j in np.flatnonzero(crossed[i]).tolist():
+                cell_poly = _clip_polygon(col, 1, j * dy, (j + 1) * dy)
                 if len(cell_poly) >= 3:
                     val = _integrate_linear_over_polygon(cell_poly, coeffs)
-                    block[di, dj] = float(val)
+                    cells[i, j] += float(val)
                     total += val
-        cells[i_min:i_max, j_min:j_max] += block
     return Histogram2D(
-        bounds=(x_lo, x_hi, y_lo, y_hi),
+        bounds=default_bounds(4),
         resolution=resolution,
         cells=cells,
         total_weight=float(total),
@@ -524,18 +480,17 @@ def convergence_report(
     if n == 1:
         distances = [0.0 for _ in m_list]
     else:
-        bounds = default_bounds(n)
         if n == 4:
-            reference = density_n4_cell_integrals(resolution, bounds)
+            reference = density_n4_cell_integrals(resolution)
         else:
             batch = sample_area_polytope(n, mc_count, seed)
-            reference = pushforward_histogram(batch, "dinv-area", resolution, bounds)
+            reference = pushforward_histogram(batch, "dinv-area", resolution)
         distances = []
         for m in m_list:
             # looked up on the module, so that a wrapper installed there sees the calls
             poly = qtpoly.qt_catalan_dinv_area(n, m, budget=budget)
             mu = qtpoly.to_normalized_measure(poly, n, m)
-            binned = bin_discrete_measure(mu, resolution, bounds)
+            binned = bin_discrete_measure(mu, resolution, n)
             distances.append(l1_distance(binned, reference))
     total_weights = [Fraction(catalan_number_m(n, m), m ** (n - 1)) for m in m_list]
     return {

@@ -77,6 +77,12 @@ class TestStats:
         assert data["normalized_dinv"] == "1"
         assert data["normalized_bounce"] == "2/3"
 
+    def test_large_m_runs_in_linear_time(self, capsys):
+        # the bounce walk has ~m runs, so a window sum recomputed per run took minutes
+        code, out, _ = run(["stats", "0,1", "--m", "200000"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["m"] == 200000
+
     def test_invalid_vector_names_inequality(self, capsys):
         code, _, err = run(["stats", "0,2.5"], capsys)
         assert code == EXIT_CHECK_FAILURE
@@ -285,6 +291,21 @@ class TestByteIdentity:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e6073671aba8cdf97c28b1f81c42d2cd6547a3345a1e2c40222355b396eb9d33"
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--n", "4", "--m-list", "2", "9"],
+             "207eae5c6f67557ab4fea086ccf9bb48eb15e0456c0a62ccf3b75740fa371e7b"),
+            (["--n", "3", "--m-list", "1", "7", "20"],
+             "45704fba11cb3a2230208060ba532fec540d6272a6bba0733316be526fea1adb"),
+        ],
+    )
+    def test_converge_json_non_square_grid(self, capsys, argv, digest):
+        # cx != cy through the density corner lattice (n = 4) and the binning (both)
+        code, out, _ = run(["converge", *argv, "--grid", "13x7"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_measure_csv(self, capsys, tmp_path):
         dest = tmp_path / "h.csv"

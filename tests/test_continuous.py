@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from qtcatalan.continuous import (
     to_m_dyck,
     transform_T,
 )
+from qtcatalan import discrete
 from qtcatalan.discrete import MDyckPath, enumerate_m_dyck
 
 WORKED = ContinuousPath([0, F("0.6"), F("1.2"), F("0.5")])
@@ -255,6 +257,14 @@ class TestNormalizedStatistics:
                 c = from_m_dyck(p)
                 gap = abs(dinv(c) - normalized_m_stats(c, m)[1])
                 assert gap <= F(n * (n - 1) // 2, m)
+
+    @pytest.mark.parametrize("av", [(0, 1, 0, 1, 0, 1), (0, F(1, 2), F(1, 2), F(1, 2))])
+    def test_bounce_at_large_m_matches_block_kernel(self, av):
+        p = ContinuousPath(av)
+        m = 10**5
+        block = np.array([to_m_dyck(p, m).area_vector], dtype=np.int64)
+        expected = discrete._bounce_block(block, m)[0]
+        assert normalized_m_stats(p, m)[2] == F(int(expected), m)
 
 
 class TestNormalizedBounceVector:

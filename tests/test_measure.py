@@ -50,71 +50,44 @@ def discrete_measures(draw):
 
 @st.composite
 def bin_grids(draw):
-    """A resolution and bounds whose ends and widths are small fractions, so
-    that atoms often fall on cell edges and on the outer boundary."""
-    resolution = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    bounds = []
-    for _ in range(2):
-        lo = F(draw(st.integers(-6, 12)), draw(st.integers(1, 6)))
-        bounds += [lo, lo + F(draw(st.integers(1, 30)), draw(st.integers(1, 6)))]
-    return resolution, tuple(bounds)
+    """A resolution and a height n, whose support box [0, n(n-1)/2]^2 has
+    small integer ends, so that atoms often fall on cell edges and on the
+    outer boundary."""
+    return (draw(st.integers(1, 9)), draw(st.integers(1, 9))), draw(st.integers(2, 8))
 
 
-def _bin_with_fractions(mu, resolution, bounds):
+def _bin_with_fractions(mu, resolution, n):
     """Reference binning: one Fraction location and weight per atom."""
-    x_lo, x_hi, y_lo, y_hi = bounds
+    _, hi, _, _ = default_bounds(n)
     cx, cy = resolution
     cells = np.zeros(resolution)
     total = 0.0
     for i, j, c in mu.atoms.tolist():
         x, y, w = F(i, mu.den), F(j, mu.den), float(F(c, mu.weight_den))
-        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-            cells[min(int((x - x_lo) * cx / (x_hi - x_lo)), cx - 1),
-                  min(int((y - y_lo) * cy / (y_hi - y_lo)), cy - 1)] += w
+        if 0 <= x <= hi and 0 <= y <= hi:
+            cells[min(int(x * cx / hi), cx - 1), min(int(y * cy / hi), cy - 1)] += w
             total += w
     return cells, total
 
 
-@st.composite
-def density_grids(draw):
-    """A resolution of 1 to 40 cells per axis and rational bounds that either
-    cut the support [0, 6]^2 of the height-4 density or contain it."""
-    resolution = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
-    wide = draw(st.booleans())
-    bounds = []
-    for _ in range(2):
-        if wide:
-            lo = -F(draw(st.integers(0, 12)), draw(st.integers(1, 6)))
-            hi = 6 + F(draw(st.integers(0, 12)), draw(st.integers(1, 6)))
-        else:
-            lo = F(draw(st.integers(-6, 30)), draw(st.integers(1, 6)))
-            hi = lo + F(draw(st.integers(1, 24)), draw(st.integers(1, 6)))
-        bounds += [lo, hi]
-    return resolution, tuple(bounds)
-
-
-def _cell_integrals_by_clipping(resolution, bounds):
-    """Reference cell integrals: every cell of each triangle's bounding box
-    clipped against the triangle in Fractions and integrated."""
-    x_lo, x_hi, y_lo, y_hi = bounds
+def _cell_integrals_by_clipping(resolution):
+    """Reference cell integrals on [0, 6]^2: every cell of each triangle's
+    bounding box clipped against the triangle in Fractions and integrated."""
     cx, cy = resolution
-    dx = (x_hi - x_lo) / cx
-    dy = (y_hi - y_lo) / cy
+    dx, dy = F(6, cx), F(6, cy)
     cells = np.zeros(resolution)
     total = F(0)
     for tri, coeffs in measure._DENSITY_N4_TRIANGLES:
         txs = [p[0] for p in tri]
         tys = [p[1] for p in tri]
-        i_min = max(int((min(txs) - x_lo) / dx), 0)
-        i_max = min(int((max(txs) - x_lo) / dx) + 1, cx)
-        j_min = max(int((min(tys) - y_lo) / dy), 0)
-        j_max = min(int((max(tys) - y_lo) / dy) + 1, cy)
+        i_min, i_max = int(min(txs) / dx), min(int(max(txs) / dx) + 1, cx)
+        j_min, j_max = int(min(tys) / dy), min(int(max(tys) / dy) + 1, cy)
         for i in range(i_min, i_max):
-            col = measure._clip_polygon(tri, 0, x_lo + i * dx, x_lo + (i + 1) * dx)
+            col = measure._clip_polygon(tri, 0, i * dx, (i + 1) * dx)
             if not col:
                 continue
             for j in range(j_min, j_max):
-                cell_poly = measure._clip_polygon(col, 1, y_lo + j * dy, y_lo + (j + 1) * dy)
+                cell_poly = measure._clip_polygon(col, 1, j * dy, (j + 1) * dy)
                 if len(cell_poly) >= 3:
                     val = measure._integrate_linear_over_polygon(cell_poly, coeffs)
                     cells[i, j] += float(val)
@@ -289,39 +262,46 @@ class TestHistogram:
     def test_bin_discrete_boundary_inclusion(self):
         # atom exactly on the upper corner must land in the last (closed) cell
         m = _measure((3, 3, 1), (0, 0, 2))
-        h = bin_discrete_measure(m, (6, 6), default_bounds(3))
+        h = bin_discrete_measure(m, (6, 6), 3)
         assert h.cells[5, 5] == 1.0
         assert h.cells[0, 0] == 2.0
         assert h.total_weight == 3.0
 
     def test_l1_requires_matching_grids(self):
         m = _measure((0, 0, 1))
-        h1 = bin_discrete_measure(m, (4, 4), default_bounds(3))
-        h2 = bin_discrete_measure(m, (5, 5), default_bounds(3))
+        h1 = bin_discrete_measure(m, (4, 4), 3)
+        h2 = bin_discrete_measure(m, (5, 5), 3)
         with pytest.raises(ValueError):
             l1_distance(h1, h2)
 
     def test_transpose_deviation_symmetric_input(self):
         m = _measure((1, 2, 1), (2, 1, 1))
-        h = bin_discrete_measure(m, (6, 6), default_bounds(3))
+        h = bin_discrete_measure(m, (6, 6), 3)
         assert h.transpose_deviation() == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(discrete_measures(), bin_grids())
-    @example(_measure((0, 0, 1), (7, 3, 5), (3, 7, 2), den=10**12, weight_den=3),
-             ((3, 2), (F(1, 10**12), F(1, 10**11), F(0), F(1, 10**12))))
-    @example(_measure((5, 0, 1), (40, 40, 3), den=7), ((4, 4), (F(0), F(10**20), F(-1, 3), F(6))))
+    @example(_measure((0, 0, 1), (7, 3, 5), (3, 7, 2), den=10**12, weight_den=3), ((3, 2), 2))
+    @example(_measure((5, 0, 1), (40, 40, 3), den=7), ((4, 4), 4))
+    @example(_measure((1, 2, 10**15 - 1), (2, 1, 10**15 - 3), weight_den=10**18 - 11), ((3, 3), 3))
     def test_bin_discrete_matches_fraction_binning(self, mu, grid):
-        resolution, bounds = grid
-        h = bin_discrete_measure(mu, resolution, bounds)
-        cells, total = _bin_with_fractions(mu, resolution, bounds)
+        resolution, n = grid
+        h = bin_discrete_measure(mu, resolution, n)
+        cells, total = _bin_with_fractions(mu, resolution, n)
         assert np.array_equal(h.cells, cells)  # same floats, added in the same order
         assert h.total_weight == total
-        assert h.bounds == bounds
+        assert h.bounds == default_bounds(n)
+
+    def test_bin_discrete_rejects_int64_overflow(self):
+        # num * cells past 2**62 cannot be indexed in int64
+        with pytest.raises(ValueError, match="int64"):
+            bin_discrete_measure(_measure((1, 1, 1), den=2**60), (4, 4), 3)
+        with pytest.raises(ValueError, match="int64"):
+            bin_discrete_measure(_measure((2**61, 0, 1)), (2, 2), 3)
 
     def test_csv_shape(self):
         m = _measure((0, 0, 1))
-        h = bin_discrete_measure(m, (2, 2), default_bounds(2))
+        h = bin_discrete_measure(m, (2, 2), 2)
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "x_lo,x_hi,y_lo,y_hi,weight"
         assert len(lines) == 1 + 4
@@ -378,25 +358,19 @@ class TestDensityN4:
         assert h.transpose_deviation() < 1e-9
 
     @settings(max_examples=25, deadline=None)
-    @given(density_grids())
-    @example(((60, 60), default_bounds(4)))
-    @example(((1, 1), default_bounds(4)))
-    @example(((6, 6), default_bounds(4)))  # lines through (2,2), (1,3), (3,1)
-    @example(((12, 12), (F(-1), F(5), F(1), F(7))))
-    @example(((4, 4), (F(0), F(4), F(0), F(4))))  # corners along x + y = 4
-    @example(((8, 8), (F(1), F(3), F(1), F(3))))  # corners along x + y = 4, near the peak
-    @example(((7, 13), (F(1, 3), F(19, 3), F(-1, 7), F(40, 7))))
-    # integers beyond 2**53, and lattices beyond int64 (object dtype)
-    @example(((9, 11), (F(0), F(6), F(1), 6 - F(1, 10**7 + 19))))
-    @example(((9, 11), (F(1, 10**12), 6 + F(1, 10**12), F(0), F(6, 10**15 + 7))))
-    @example(((9, 11), (F(1, 10**20), 6 + F(3, 10**19), F(-1, 3**40), F(6))))
-    @example(((9, 11), (F(-1, 2**70), F(7), F(0), F(7))))
-    def test_cell_integrals_match_clipping_every_cell(self, grid):
-        resolution, bounds = grid
-        h = density_n4_cell_integrals(resolution, bounds)
-        cells, total = _cell_integrals_by_clipping(resolution, bounds)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    @example((60, 60))
+    @example((1, 1))
+    @example((6, 6))  # lines through (2,2), (1,3), (3,1)
+    @example((7, 13))
+    @example((40, 1))
+    @example((1, 40))
+    def test_cell_integrals_match_clipping_every_cell(self, resolution):
+        h = density_n4_cell_integrals(resolution)
+        cells, total = _cell_integrals_by_clipping(resolution)
         assert np.array_equal(h.cells.view(np.int64), cells.view(np.int64))
         assert h.total_weight == total
+        assert h.bounds == default_bounds(4)
 
     def test_table_moments_match_discrete_limit(self):
         # S_ij(m) = sum of c * dinv^i * area^j over the terms of C^(m)_4 is a
