@@ -34,7 +34,6 @@ from .continuous import (
     dinv,
     from_m_dyck,
     jacobian_count,
-    normalized_m_bounce_vector,
     normalized_m_stats,
     sc,
     sort_preimage_count,

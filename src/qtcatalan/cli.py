@@ -83,6 +83,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: cannot parse area vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.m is not None and args.m * len(av) ** 2 >= continuous._M_STATS_LIMIT:
+        print(f"error: --m {args.m} is too large for n={len(av)}: m * n^2 must be below 2^62",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         path = continuous.ContinuousPath(av)
     except ValueError as exc:

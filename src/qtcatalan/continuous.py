@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .discrete import (
-    MDyckPath, _bounce_runs, _bounce_stat, _check_size, _dinv_vector, _validate_area_vector,
-)
+import numpy as np
+
+from .discrete import MDyckPath, _bounce_block, _dinv_vector, _validate_area_vector
 
 __all__ = [
     "ContinuousPath",
@@ -36,10 +36,11 @@ __all__ = [
     "from_m_dyck",
     "to_m_dyck",
     "normalized_m_stats",
-    "normalized_m_bounce_vector",
 ]
 
 Rational = Fraction | int
+
+_M_STATS_LIMIT = 2**62  # normalized_m_stats needs m * n^2 below this (int64 bounce kernel)
 
 
 class DegenerateInputError(ValueError):
@@ -245,25 +246,17 @@ def to_m_dyck(p: ContinuousPath, m: int) -> MDyckPath:
 
 
 def normalized_m_stats(p: ContinuousPath, m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(area, dinv, bounce) of the corresponding m-Dyck path, divided by m."""
+    """(area, dinv, bounce) of the corresponding m-Dyck path, divided by m.
+
+    Bounce comes from the int64 block kernel on a one-row block, which takes
+    at most n steps whatever m is.  Its integers stay below about m * n^2, so
+    m with m * n^2 >= _M_STATS_LIMIT is refused (ValueError), not overflowed.
+    """
+    if m * p.n * p.n >= _M_STATS_LIMIT:
+        raise ValueError(f"m * n^2 must be below 2^62, got m={m}, n={p.n}")
     av = to_m_dyck(p, m).area_vector
     return (
         Fraction(sum(av), m),
         Fraction(_dinv_vector(av, m), m),
-        Fraction(_bounce_stat(av, m), m),
+        Fraction(int(_bounce_block(np.array([av], dtype=np.int64), m)[0]), m),
     )
-
-
-def normalized_m_bounce_vector(p: ContinuousPath, m: int) -> tuple[Fraction, ...]:
-    """North-step times of the bounce parametrization restricted to the grid
-    (1/m)Z.
-
-    At each time i/m the parametrization climbs onto the east step of p above
-    its current position, then moves east for 1/m time units at a speed equal
-    to the number of north steps taken at the last m grid times.  Defined for
-    every continuous path; for 1/m-integral paths the coordinate sum equals
-    the normalized bounce statistic.
-    """
-    _check_size(p.n, m)
-    v, _ = _bounce_runs(sorted(m * x for x in p.north_step_positions()), m)
-    return tuple(Fraction(i, m) for i, vi in enumerate(v) for _ in range(vi))

@@ -77,9 +77,15 @@ class SampleBatch:
 
 
 def _accept_mask(block: np.ndarray) -> np.ndarray:
-    """Rows of a (k, n) proposal block satisfying a_{i+1} <= a_i + 1."""
+    """Rows of a (k, c) block with a_{i+1} <= a_i + 1 for every pair of
+    consecutive columns.
+
+    The sampler passes the free coordinates a_1, ..., a_{n-1}; criterion 9
+    passes zero-prefixed full rows (a_0 = 0, a_1, ...), whose extra test
+    a_1 <= 1 holds for every proposal, so both layouts give the same mask.
+    """
     ok = np.ones(block.shape[0], dtype=bool)
-    for i in range(1, block.shape[1] - 1):
+    for i in range(block.shape[1] - 1):
         ok &= block[:, i + 1] <= block[:, i] + 1
     return ok
 
@@ -92,6 +98,10 @@ def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) ->
     acceptance ratio estimates vol(A_n) / (n-1)!.  Blocks of _BLOCK_ROWS
     proposals are drawn in order from one stream, so the points do not depend
     on the block size; ``proposed`` and ``accepted`` count whole blocks.
+    One (_BLOCK_ROWS, n-1) block is refilled each round by ``rng.random``,
+    which gives the same doubles and leaves the same generator state as
+    ``uniform(0.0, 1.0)`` (that computes 0.0 + 1.0 * x), and accepted rows
+    are copied straight into the preallocated points.
     ``seed`` is an int or a Generator, which is drawn from as given.  Raises
     BudgetExceededError, before drawing, when the expected proposal count
     count * (n-1)! / vol(A_n) exceeds _MAX_PROPOSALS or the points would
@@ -112,17 +122,18 @@ def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) ->
         )
     rng = np.random.default_rng(seed)
     highs = np.arange(1, n, dtype=float)
-    kept: list[np.ndarray] = []
+    block = np.empty((_BLOCK_ROWS, n - 1))  # free coordinates, refilled each round
+    points = np.zeros((count, n))
     accepted = 0
     proposed = 0
     while accepted < count:
-        block = np.zeros((_BLOCK_ROWS, n))
-        block[:, 1:] = rng.uniform(0.0, 1.0, size=(_BLOCK_ROWS, n - 1)) * highs
+        rng.random(out=block)
+        block *= highs
         good = block[_accept_mask(block)]
+        take = min(good.shape[0], count - accepted)
+        points[accepted:accepted + take, 1:] = good[:take]
         proposed += _BLOCK_ROWS
         accepted += good.shape[0]
-        kept.append(good)
-    points = np.concatenate(kept, axis=0)[:count]
     return SampleBatch(n=n, points=points, proposed=proposed, accepted=accepted)
 
 

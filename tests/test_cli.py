@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,13 @@ class TestStats:
         code, out, _ = run(["stats", "0,1", "--m", "200000"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["m"] == 200000
+
+    def test_huge_m_takes_at_most_n_steps(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(["stats", "0,1", "--m", "10000000"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_OK
+        assert json.loads(out)["normalized_bounce"] == "0"
 
     def test_invalid_vector_names_inequality(self, capsys):
         code, _, err = run(["stats", "0,2.5"], capsys)
@@ -200,6 +208,9 @@ class TestUsage:
             ["stats", "0,1/0"],
             ["preserve", "--n", "1"],
             ["stats", "0,1", "--m", "0"],
+            # m * n^2 >= 2^62: past what the int64 bounce kernel holds
+            ["stats", "0,0,0,0,0,0,0,0", "--m", str(2**59 - 1)],
+            ["stats", "0,1", "--m", str(2**60)],
         ],
     )
     def test_bad_parameters_exit_2(self, argv, capsys):
@@ -329,6 +340,22 @@ class TestByteIdentity:
         assert "l1_to_exact_density" in json.loads(out)
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "17b87ac848f1b7c6c82ad4777f8aad1633115061aeaccf820cbad816b232d00d"
+        )
+
+    def test_measure_n8_csv_and_summary(self, capsys, tmp_path):
+        # n = 8: about one proposal in a hundred is accepted
+        dest = tmp_path / "h.csv"
+        code, out, _ = run(
+            ["measure", "--n", "8", "--map", "dinv-area", "--samples", "2000", "--seed", "3",
+             "--grid", "12x12", "--out", str(dest)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "7f9225932c88770b65e4651c0f420e152cf75b2a59ba90efcfb92269931b1475"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cd2644ec10f012b6d2f70b423a56d56a1b4863767e3728d2d541eb7005bee5a2"
         )
 
     def test_measure_csv_over_many_blocks(self, capsys, tmp_path):

@@ -15,7 +15,6 @@ from qtcatalan.continuous import (
     dinv,
     from_m_dyck,
     jacobian_count,
-    normalized_m_bounce_vector,
     normalized_m_stats,
     sc,
     sort_preimage_count,
@@ -264,35 +263,21 @@ class TestNormalizedStatistics:
         m = 10**5
         block = np.array([to_m_dyck(p, m).area_vector], dtype=np.int64)
         expected = discrete._bounce_block(block, m)[0]
+        assert expected == discrete._bounce_stat(block[0].tolist(), m)
         assert normalized_m_stats(p, m)[2] == F(int(expected), m)
 
-
-class TestNormalizedBounceVector:
-    def test_example_sum(self):
-        p = ContinuousPath([0, 1, 1])
-        assert sum(normalized_m_bounce_vector(p, 2)) == F(1, 2)
-        assert sum(normalized_m_bounce_vector(p, 3)) == F(2, 3)
-
-    def test_staircase(self):
-        p = ContinuousPath([0, 1, 2, 3])
-        assert normalized_m_bounce_vector(p, 4) == (0, 0, 0, 0)
-
-    def test_matches_normalized_bounce_on_integral_paths(self):
+    def test_bounce_matches_scalar_walk(self):
         for p in enumerate_m_dyck(4, 3):
             c = from_m_dyck(p)
-            assert sum(normalized_m_bounce_vector(c, 3)) == normalized_m_stats(c, 3)[2]
+            assert normalized_m_stats(c, 3)[2] == F(discrete._bounce_stat(p.area_vector, 3), 3)
 
-    def test_converges_to_continuous_bounce_vector(self):
-        exact = bounce_vector(WORKED).b
-        dists = []
-        for m in (1, 4, 16, 64, 256):
-            approx = normalized_m_bounce_vector(WORKED, m)
-            dists.append(max(abs(x - y) for x, y in zip(exact, approx)))
-        assert all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
-        assert dists[-1] <= F(1, 32)
+    def test_refuses_m_past_int64(self):
+        # the all-zero path of height 8 has bounce m * 28, which overflows int64 here
+        with pytest.raises(ValueError, match="2\\^62"):
+            normalized_m_stats(ContinuousPath([0] * 8), 2**59 - 1)
 
 
 @pytest.mark.parametrize("m", [0, -1])
-def test_normalized_m_bounce_vector_rejects_m_below_1(m):
+def test_normalized_m_stats_rejects_m_below_1(m):
     with pytest.raises(ValueError):
-        normalized_m_bounce_vector(ContinuousPath([0, 1, 1]), m)
+        normalized_m_stats(ContinuousPath([0, 1, 1]), m)

@@ -119,6 +119,40 @@ def unit_gap_paths(draw, max_n=7):
     return area_vector_from_bounce(BounceVector(b))
 
 
+def _sample_oracle(n, count, seed, rows):
+    """The rejection loop as it stood before the sampler reused one block:
+    a fresh zero-prefixed (rows, n) block per round from uniform(0, 1), the
+    full-row mask, and one concatenate of the kept rows at the end."""
+    rng = np.random.default_rng(seed)
+    highs = np.arange(1, n, dtype=float)
+    kept = []
+    accepted = 0
+    proposed = 0
+    while accepted < count:
+        block = np.zeros((rows, n))
+        block[:, 1:] = rng.uniform(0.0, 1.0, size=(rows, n - 1)) * highs
+        ok = np.ones(block.shape[0], dtype=bool)
+        for i in range(1, block.shape[1] - 1):
+            ok &= block[:, i + 1] <= block[:, i] + 1
+        good = block[ok]
+        proposed += rows
+        accepted += good.shape[0]
+        kept.append(good)
+    points = np.concatenate(kept, axis=0)[:count]
+    return points, proposed, accepted
+
+
+@st.composite
+def box_proposals(draw):
+    """Free coordinates a_1..a_{n-1} with a_i in [0, i], often on the
+    half-integer grid so that a_{i+1} = a_i + 1 ties are frequent."""
+    n = draw(st.integers(2, 9))
+    coordinate = [st.one_of(st.integers(0, 2 * i).map(lambda k: k / 2),
+                            st.floats(0.0, float(i))) for i in range(1, n)]
+    rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=20))
+    return np.array(rows, dtype=float).reshape(len(rows), n - 1)
+
+
 class TestVolume:
     def test_small_values(self):
         assert polytope_volume(1) == 1
@@ -179,6 +213,32 @@ class TestSampling:
         default = sample_area_polytope(n, 30000, seed=5).points
         monkeypatch.setattr(measure, "_BLOCK_ROWS", rows)
         assert np.array_equal(sample_area_polytope(n, 30000, seed=5).points, default)
+
+    @given(n=st.integers(2, 9), count=st.integers(1, 40), rows=st.sampled_from([7, 64, 1000]),
+           seed=st.integers(0, 2**32 - 1), on_boundary=st.booleans(), as_generator=st.booleans())
+    @example(n=2, count=21, rows=7, seed=0, on_boundary=False, as_generator=True)
+    @example(n=9, count=40, rows=7, seed=1, on_boundary=True, as_generator=True)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_pre_block_reuse_loop(self, n, count, rows, seed, on_boundary, as_generator):
+        if on_boundary:  # the last row taken is the last row its block accepted
+            count = _sample_oracle(n, count, seed, rows)[2]
+        points, proposed, accepted = _sample_oracle(n, count, seed, rows)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if as_generator:
+            _sample_oracle(n, count, ref_rng, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure, "_BLOCK_ROWS", rows)
+            b = sample_area_polytope(n, count, rng if as_generator else seed)
+        assert b.points.tobytes() == points.tobytes() and b.points.shape == points.shape
+        assert (b.proposed, b.accepted) == (proposed, accepted)
+        if as_generator:
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(box_proposals())
+    @settings(max_examples=200)
+    def test_accept_mask_free_rows_match_full_rows(self, free):
+        full = np.hstack([np.zeros((free.shape[0], 1)), free])
+        assert np.array_equal(measure._accept_mask(free), measure._accept_mask(full))
 
     def test_budget_checked_before_drawing(self):
         rng = np.random.default_rng(0)
