@@ -46,8 +46,8 @@ from .measure import (
     convergence_report,
     density_n4_cell_integrals,
     density_n4_total_integral,
-    exact_density_n4,
     l1_distance,
+    limit_cell_integrals,
     measure_preservation_check,
     polytope_volume,
     pushforward_histogram,

@@ -154,8 +154,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
             args.n,
             args.m_list,
             resolution=args.grid,
-            mc_count=args.samples,
-            seed=args.seed,
             budget=args.budget,
         )
     except (ValueError, discrete.BudgetExceededError) as exc:
@@ -291,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="distances of normalized discrete measures to the limit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-list", dest="m_list", type=int, nargs="+", required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--grid", type=_parse_grid, default=(60, 60))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)

@@ -2,12 +2,13 @@
 
 This is the floating-point layer of the library: uniform sampling of the
 area polytope, vectorized path statistics, 2D histograms of the pushforward
-measures, the exact piecewise-linear density for height 4, and the two
-experiment drivers (convergence of normalized discrete measures, and
-invariance of the sampling measure under the sorting transform).
+measures, the exact cell masses of the limit measure mu_n at every n, and
+the two experiment drivers (convergence of normalized discrete measures,
+and invariance of the sampling measure under the sorting transform).
 
-Everything is seeded and byte-deterministic; exact rational arithmetic is
-used for volumes and the height-4 density.
+Everything is seeded and byte-deterministic.  Volumes are exact rationals,
+and the limit cell masses are evaluated in integers from the partition sum
+of limit.py, with no float before the last division.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .discrete import BudgetExceededError, _check_size, catalan_number_m
-from . import qtpoly
+from . import limit, qtpoly
 
 __all__ = [
     "SampleBatch",
@@ -35,7 +36,7 @@ __all__ = [
     "pushforward_histogram",
     "bin_discrete_measure",
     "l1_distance",
-    "exact_density_n4",
+    "limit_cell_integrals",
     "density_n4_cell_integrals",
     "density_n4_total_integral",
     "convergence_report",
@@ -304,170 +305,72 @@ def l1_distance(h1: Histogram2D, h2: Histogram2D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact density for height 4.
-#
-# The support is the quadrilateral with corners (6,0), (3,1), (1,3), (0,6)
-# (the lower boundary runs along x + y = 4), subdivided by the chords from
-# (6,0) and (0,6) to (2,2) into three triangles carrying linear pieces.  The
-# piecewise-linear function vanishing on the outer boundary with kinks only
-# on those chords is determined up to scale; the scale is fixed by the total
-# mass vol(A_4) = 8/3, giving the pieces below.
+# Exact cell masses of the limit measure.
 
-_DENSITY_N4_TRIANGLES: list[tuple[list[tuple[Fraction, Fraction]], tuple[Fraction, Fraction, Fraction]]] = [
-    # vertices, coefficients (alpha, beta, gamma) of f = alpha*x + beta*y + gamma
-    (
-        [(Fraction(0), Fraction(6)), (Fraction(1), Fraction(3)), (Fraction(2), Fraction(2))],
-        (Fraction(3, 2), Fraction(1, 2), Fraction(-3)),
-    ),
-    (
-        [(Fraction(6), Fraction(0)), (Fraction(2), Fraction(2)), (Fraction(0), Fraction(6))],
-        (Fraction(-1, 2), Fraction(-1, 2), Fraction(3)),
-    ),
-    (
-        [(Fraction(6), Fraction(0)), (Fraction(3), Fraction(1)), (Fraction(2), Fraction(2))],
-        (Fraction(1, 2), Fraction(3, 2), Fraction(-3)),
-    ),
-]
+_STRIP_CORNERS = 1 << 16  # grid corners per column strip of the corner lattice (memory)
 
 
-def _inward_edges(
-    tri: list[tuple[Fraction, Fraction]],
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Coefficients (A, B, C) of the three edge lines A*x + B*y + C of a
-    triangle, signed so that the closed triangle is where all three are >= 0."""
-    (x0, y0), (x1, y1), (x2, y2) = tri
-    sign = 1 if (x1 - x0) * (y2 - y0) > (x2 - x0) * (y1 - y0) else -1
-    return [(sign * (ay - by), sign * (bx - ax), sign * (ax * by - ay * bx))
-            for (ax, ay), (bx, by) in zip(tri, tri[1:] + tri[:1])]
+def _limit_cdf_strips(n: int, resolution: tuple[int, int]):
+    """Yield (lo, rows, scale) over strips of grid corners (i, k) = (D i / cx, D k / cy)
+    of default_bounds(n), D = n(n-1)/2: rows holds scale * F, as Python ints in
+    an object array, at lo <= i < lo + len(rows) and every k, where F is the
+    exact CDF of limit.cdf_cones.  Consecutive strips share a row of corners.
 
-
-_DENSITY_N4_EDGES = [_inward_edges(tri) for tri, _ in _DENSITY_N4_TRIANGLES]
-
-
-def exact_density_n4(x: float, y: float) -> float:
-    """Density of the height-4 pushforward measure at (x, y), from the first
-    closed triangle of _DENSITY_N4_TRIANGLES that holds the exact value of
-    the point.  Only the lower support edge x + y = 4, where the density
-    jumps, depends on the closed convention.
+    For a cone (x0, y0, r0 = p/q), T1 = D i - x0 cx = cx t1 and
+    T2 = q cx (D k - y0 cy) + p cy T1 = q cx cy t2, so its polynomial is an
+    integer form in (T1, T2) over the lcm of all scaled coefficients.  It is
+    evaluated by Horner in T2 on the corner block with t1 >= 0 and
+    y >= y0 - r0 (D - x0), masked by T2 >= 0.
     """
-    X, Y = Fraction(x), Fraction(y)
-    for (_, (alpha, beta, gamma)), edges in zip(_DENSITY_N4_TRIANGLES, _DENSITY_N4_EDGES):
-        if all(a * X + b * Y + c >= 0 for a, b, c in edges):
-            return float(alpha * X + beta * Y + gamma)
-    return 0.0
+    cx, cy = resolution
+    d = n * (n - 1) // 2
+    cones = {(x0, y0, r0): [c / (cx ** (n - 1 - e) * (r0.denominator * cx * cy) ** e)
+                            for e, c in enumerate(coeffs)]
+             for (x0, y0, r0), coeffs in limit.cdf_cones(n).items()}
+    scale = math.lcm(*(c.denominator for coeffs in cones.values() for c in coeffs))
+    width = max(1, _STRIP_CORNERS // (cy + 1))
+    for lo in range(0, cx, width):
+        hi = min(lo + width, cx)
+        rows = np.zeros((hi - lo + 1, cy + 1), dtype=object)
+        for (x0, y0, r0), coeffs in cones.items():
+            start = max(lo, -(-x0 * cx // d))
+            k0 = max(0, math.ceil((y0 - r0 * (d - x0)) * cy / d))
+            t1 = d * np.arange(start, hi + 1, dtype=np.int64)[:, None] - x0 * cx
+            t2 = (r0.denominator * cx * (d * np.arange(k0, cy + 1, dtype=np.int64) - y0 * cy)
+                  + r0.numerator * cy * t1)
+            big1, big2 = t1.astype(object), t2.astype(object)
+            ints = [int(c * scale) for c in coeffs]
+            acc = ints[-1]
+            for e in range(n - 2, -1, -1):
+                acc = acc * big2
+                if ints[e]:
+                    acc = acc + ints[e] * big1 ** (n - 1 - e)
+            rows[start - lo:, k0:] += np.where(t2 >= 0, acc, 0)
+        yield lo, rows, scale
 
 
-def _clip_polygon(
-    poly: list[tuple[Fraction, Fraction]],
-    axis: int,
-    lo: Fraction,
-    hi: Fraction,
-) -> list[tuple[Fraction, Fraction]]:
-    """Sutherland-Hodgman clip of a convex polygon to lo <= coord[axis] <= hi."""
-    for bound, keep_ge in ((lo, True), (hi, False)):
-        if not poly:
-            return []
-        out: list[tuple[Fraction, Fraction]] = []
-        for k in range(len(poly)):
-            cur, nxt = poly[k], poly[(k + 1) % len(poly)]
-            cur_in = cur[axis] >= bound if keep_ge else cur[axis] <= bound
-            nxt_in = nxt[axis] >= bound if keep_ge else nxt[axis] <= bound
-            if cur_in:
-                out.append(cur)
-            if cur_in != nxt_in:
-                frac = (bound - cur[axis]) / (nxt[axis] - cur[axis])
-                pt = (
-                    cur[0] + frac * (nxt[0] - cur[0]),
-                    cur[1] + frac * (nxt[1] - cur[1]),
-                )
-                out.append(pt)
-        poly = out
-    return poly
-
-
-def _integrate_linear_over_polygon(
-    poly: list[tuple[Fraction, Fraction]],
-    coeffs: tuple[Fraction, Fraction, Fraction],
-) -> Fraction:
-    """Exact integral of alpha*x + beta*y + gamma over a convex polygon."""
-    alpha, beta, gamma = coeffs
-    total = Fraction(0)
-    for k in range(1, len(poly) - 1):
-        (x0, y0), (x1, y1), (x2, y2) = poly[0], poly[k], poly[k + 1]
-        twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        area = abs(twice_area) / 2
-        cx = (x0 + x1 + x2) / 3
-        cy = (y0 + y1 + y2) / 3
-        total += area * (alpha * cx + beta * cy + gamma)
-    return total
-
-
-def density_n4_total_integral() -> Fraction:
-    """Exact integral of the height-4 density over the plane."""
-    return sum(
-        (_integrate_linear_over_polygon(tri, coeffs) for tri, coeffs in _DENSITY_N4_TRIANGLES),
-        start=Fraction(0),
-    )
-
-
-def _all_corners(mask: np.ndarray) -> np.ndarray:
-    """Cells of a corner lattice whose four corners are all set in mask."""
-    return mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+def limit_cell_integrals(n: int, resolution: tuple[int, int]) -> Histogram2D:
+    """Exact per-cell masses of the limit measure mu_n over default_bounds(n).
+    Each cell is an inclusion-exclusion of the integer CDF corners divided by
+    their scale, a correctly rounded int / int: the float nearest the exact mass."""
+    cells = np.empty(resolution)
+    for lo, rows, scale in _limit_cdf_strips(n, resolution):
+        block = np.diff(np.diff(rows, axis=0), axis=1).tolist()
+        cells[lo:lo + len(block)] = [[v / scale for v in row] for row in block]
+    # the last strip ends at the corner (D, D)
+    return Histogram2D(bounds=default_bounds(n), resolution=resolution, cells=cells,
+                       total_weight=rows[-1, -1] / scale)
 
 
 def density_n4_cell_integrals(resolution: tuple[int, int] = (60, 60)) -> Histogram2D:
-    """Exact per-cell integrals of the height-4 density over default_bounds(4)
-    = [0, 6]^2, as a histogram.
+    """Exact per-cell masses of the height-4 limit measure over [0, 6]^2."""
+    return limit_cell_integrals(4, resolution)
 
-    Scaled by cx * cy, grid corner (i, j) is the integer point
-    (6 * cy * i, 6 * cx * j), so each triangle's inward edge lines are
-    evaluated at every grid corner in int64.  A cell whose four corners lie in
-    the closed triangle lies in it, so its integral is its area times the
-    density at its centre.  A cell whose four corners lie on the outer side of
-    one edge meets the triangle in at most a segment, which carries no mass.
-    Only the cells left, those an edge crosses (or that only an axis
-    separates from the triangle), are clipped.  Each cell weight is the float
-    nearest its exact integral, added triangle by triangle; the total is
-    summed exactly.
-    """
-    cx, cy = resolution
-    dx, dy = Fraction(6, cx), Fraction(6, cy)
-    xs = 6 * cy * np.arange(cx + 1, dtype=np.int64)[:, None]
-    ys = 6 * cx * np.arange(cy + 1, dtype=np.int64)[None, :]
-    mid_x = xs[:-1] + xs[1:]  # twice the scaled cell centres
-    mid_y = ys[:, :-1] + ys[:, 1:]
-    cells = np.zeros(resolution)
-    total = Fraction(0)
-    for (tri, coeffs), edges in zip(_DENSITY_N4_TRIANGLES, _DENSITY_N4_EDGES):
-        sides = [int(a) * xs + int(b) * ys + int(c) * cx * cy for a, b, c in edges]
-        interior = np.logical_and.reduce([_all_corners(side >= 0) for side in sides])
-        disjoint = np.logical_or.reduce([_all_corners(side <= 0) for side in sides])
-        # interior cells: area * f(centre) = 36 * num / den, with f(centre) = num / (2 g cx cy)
-        g = math.lcm(*(v.denominator for v in coeffs))
-        alpha, beta, gamma = (int(v * g) for v in coeffs)
-        num = alpha * mid_x + beta * mid_y + 2 * gamma * cx * cy
-        den = 2 * g * (cx * cy) ** 2
-        inner = num[interior].tolist()
-        cells[interior] += [36 * v / den for v in inner]  # int / int is correctly rounded, as float(Fraction)
-        total += Fraction(36 * sum(inner), den)
-        # the cells an edge crosses, clipped one column at a time
-        crossed = ~interior & ~disjoint
-        for i in np.flatnonzero(crossed.any(axis=1)).tolist():
-            col = _clip_polygon(tri, 0, i * dx, (i + 1) * dx)
-            if not col:
-                continue
-            for j in np.flatnonzero(crossed[i]).tolist():
-                cell_poly = _clip_polygon(col, 1, j * dy, (j + 1) * dy)
-                if len(cell_poly) >= 3:
-                    val = _integrate_linear_over_polygon(cell_poly, coeffs)
-                    cells[i, j] += float(val)
-                    total += val
-    return Histogram2D(
-        bounds=default_bounds(4),
-        resolution=resolution,
-        cells=cells,
-        total_weight=float(total),
-    )
+
+def density_n4_total_integral() -> Fraction:
+    """Exact mass of the height-4 limit measure on its support box [0, 6]^2."""
+    _, rows, scale = next(_limit_cdf_strips(4, (1, 1)))
+    return Fraction(rows[-1, -1], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +381,11 @@ def convergence_report(
     n: int,
     m_list: Sequence[int],
     resolution: tuple[int, int] = (60, 60),
-    mc_count: int = 1_000_000,
-    seed: int = 0,
     budget: int | None = None,
 ) -> dict:
-    """L1 distance of binned normalized discrete measures to the continuous
-    pushforward, for each m, plus the exact total-weight sequence."""
+    """L1 distance of binned normalized discrete measures to the exact cell
+    masses of the limit measure, for each m, plus the exact total-weight
+    sequence."""
     if not m_list:
         raise ValueError("m_list must be nonempty")
     for m in m_list:
@@ -491,11 +393,7 @@ def convergence_report(
     if n == 1:
         distances = [0.0 for _ in m_list]
     else:
-        if n == 4:
-            reference = density_n4_cell_integrals(resolution)
-        else:
-            batch = sample_area_polytope(n, mc_count, seed)
-            reference = pushforward_histogram(batch, "dinv-area", resolution)
+        reference = limit_cell_integrals(n, resolution)
         distances = []
         for m in m_list:
             # looked up on the module, so that a wrapper installed there sees the calls
@@ -507,7 +405,6 @@ def convergence_report(
     return {
         "n": n,
         "m_list": list(m_list),
-        "seed": seed,
         "grid": list(resolution),
         "distances": distances,
         "total_weights": [str(w) for w in total_weights],
@@ -529,7 +426,14 @@ def measure_preservation_check(
     the polytope in area coordinates.  Per-cell z-scores use the two-sample
     binomial noise floor sqrt(c1 + c2).  The L1 budget is the null mean of
     the aggregate L1 plus five null standard deviations (_null_l1_moments).
+    Raises BudgetExceededError, before drawing, when a histogram would hold
+    more than _MAX_COORDINATES cells.
     """
+    if resolution ** (n - 1) > _MAX_COORDINATES:
+        raise BudgetExceededError(
+            f"{n - 1} coordinates at {resolution} bins each need more than "
+            f"{_MAX_COORDINATES:,} histogram cells"
+        )
     seq = np.random.SeedSequence(seed)
     rng_direct, rng_transported = (np.random.default_rng(s) for s in seq.spawn(2))
     direct = sample_area_polytope(n, count, rng_direct)

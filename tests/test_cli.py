@@ -5,6 +5,7 @@ import time
 import pytest
 
 from qtcatalan.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, _parse_grid, main
+from qtcatalan import measure
 from qtcatalan.measure import measure_preservation_check
 
 
@@ -143,15 +144,14 @@ class TestMeasure:
 class TestConverge:
     def test_report(self, capsys):
         code, out, _ = run(
-            ["converge", "--n", "2", "--m-list", "1", "4", "--samples", "50000",
-             "--seed", "3", "--grid", "8x8"],
-            capsys,
+            ["converge", "--n", "2", "--m-list", "1", "4", "--grid", "8x8"], capsys
         )
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["total_weights"] == ["2", "5/4"]
         assert data["limit_weight"] == "1"
         assert len(data["distances"]) == 2
+        assert "seed" not in data  # the reference is exact; nothing is sampled
 
     def test_budget(self, capsys):
         code, _, err = run(
@@ -167,6 +167,18 @@ class TestPreserve:
         report = measure_preservation_check(3, count=20000, seed=2)
         assert json.loads(out) == report
         assert code == (EXIT_OK if report["ok"] else EXIT_CHECK_FAILURE)
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_histogram_cap_refused_before_sampling(self, n, capsys, monkeypatch):
+        # 10 bins in each of n - 1 coordinates: 10^8 cells at n = 9
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before the histogram cap was checked")
+
+        monkeypatch.setattr(measure, "sample_area_polytope", fail)
+        code, out, err = run(["preserve", "--n", str(n)], capsys)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "histogram cells" in err
 
     def test_n5_passes_at_default_samples(self, capsys):
         code, out, _ = run(["preserve", "--n", "5", "--seed", "0"], capsys)
@@ -211,6 +223,9 @@ class TestUsage:
             # m * n^2 >= 2^62: past what the int64 bounce kernel holds
             ["stats", "0,0,0,0,0,0,0,0", "--m", str(2**59 - 1)],
             ["stats", "0,1", "--m", str(2**60)],
+            # the limit is exact, so converge samples nothing
+            ["converge", "--n", "3", "--m-list", "1", "--samples", "100"],
+            ["converge", "--n", "3", "--m-list", "1", "--seed", "3"],
         ],
     )
     def test_bad_parameters_exit_2(self, argv, capsys):
@@ -261,7 +276,7 @@ class TestUsage:
             ["poly", "--n", "3", "--m", "1"],
             ["stats", "0,1"],
             ["measure", "--n", "3", "--samples", "100"],
-            ["converge", "--n", "3", "--m-list", "1", "--samples", "100"],
+            ["converge", "--n", "3", "--m-list", "1"],
         ],
     )
     def test_unwritable_out_exit_2(self, argv, capsys, tmp_path):
@@ -300,20 +315,20 @@ class TestByteIdentity:
         code, out, _ = run(["converge", "--n", "4", "--m-list", "3", "10", "50"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e6073671aba8cdf97c28b1f81c42d2cd6547a3345a1e2c40222355b396eb9d33"
+            "e8a2680f8bbe05f3200c90a1a1c081007781fc4a88e76cf45bad092f40d34077"
         )
 
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--n", "4", "--m-list", "2", "9"],
-             "207eae5c6f67557ab4fea086ccf9bb48eb15e0456c0a62ccf3b75740fa371e7b"),
+             "00d019a0aa38802c402091e9803e8cf654a01f560081a6a4696e8fd87ac5dde0"),
             (["--n", "3", "--m-list", "1", "7", "20"],
-             "45704fba11cb3a2230208060ba532fec540d6272a6bba0733316be526fea1adb"),
+             "9e546ee048102da100129a1b553fc009802d5b9f93f2f53c660adcf6b59f2d22"),
         ],
     )
     def test_converge_json_non_square_grid(self, capsys, argv, digest):
-        # cx != cy through the density corner lattice (n = 4) and the binning (both)
+        # cx != cy through the limit corner lattice and the binning
         code, out, _ = run(["converge", *argv, "--grid", "13x7"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest

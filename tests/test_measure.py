@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qtcatalan import measure, qtpoly
+from qtcatalan import limit, measure, qtpoly
 from qtcatalan.continuous import (
     BounceVector,
     ContinuousPath,
@@ -27,8 +27,8 @@ from qtcatalan.measure import (
     default_bounds,
     density_n4_cell_integrals,
     density_n4_total_integral,
-    exact_density_n4,
     l1_distance,
+    limit_cell_integrals,
     measure_preservation_check,
     polytope_volume,
     pushforward_histogram,
@@ -70,29 +70,74 @@ def _bin_with_fractions(mu, resolution, n):
     return cells, total
 
 
+# The height-4 limit density, derived by hand: its support is the
+# quadrilateral with corners (6,0), (3,1), (1,3), (0,6) (the lower boundary
+# runs along x + y = 4), subdivided by the chords from (6,0) and (0,6) to
+# (2,2) into three triangles carrying linear pieces.  The piecewise-linear
+# function vanishing on the outer boundary with kinks only on those chords is
+# determined up to scale; the scale is fixed by the total mass vol(A_4) = 8/3.
+DENSITY_N4_TRIANGLES = [
+    # vertices, coefficients (alpha, beta, gamma) of f = alpha*x + beta*y + gamma
+    ([(F(0), F(6)), (F(1), F(3)), (F(2), F(2))], (F(3, 2), F(1, 2), F(-3))),
+    ([(F(6), F(0)), (F(2), F(2)), (F(0), F(6))], (F(-1, 2), F(-1, 2), F(3))),
+    ([(F(6), F(0)), (F(3), F(1)), (F(2), F(2))], (F(1, 2), F(3, 2), F(-3))),
+]
+
+
+def _clip_polygon(poly, axis, lo, hi):
+    """Sutherland-Hodgman clip of a convex polygon to lo <= coord[axis] <= hi."""
+    for bound, keep_ge in ((lo, True), (hi, False)):
+        if not poly:
+            return []
+        out = []
+        for k in range(len(poly)):
+            cur, nxt = poly[k], poly[(k + 1) % len(poly)]
+            cur_in = cur[axis] >= bound if keep_ge else cur[axis] <= bound
+            nxt_in = nxt[axis] >= bound if keep_ge else nxt[axis] <= bound
+            if cur_in:
+                out.append(cur)
+            if cur_in != nxt_in:
+                frac = (bound - cur[axis]) / (nxt[axis] - cur[axis])
+                out.append((cur[0] + frac * (nxt[0] - cur[0]), cur[1] + frac * (nxt[1] - cur[1])))
+        poly = out
+    return poly
+
+
+def _integrate_linear_over_polygon(poly, coeffs):
+    """Exact integral of alpha*x + beta*y + gamma over a convex polygon."""
+    alpha, beta, gamma = coeffs
+    total = F(0)
+    for k in range(1, len(poly) - 1):
+        (x0, y0), (x1, y1), (x2, y2) = poly[0], poly[k], poly[k + 1]
+        area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+        total += area * (alpha * (x0 + x1 + x2) / 3 + beta * (y0 + y1 + y2) / 3 + gamma)
+    return total
+
+
 def _cell_integrals_by_clipping(resolution):
     """Reference cell integrals on [0, 6]^2: every cell of each triangle's
-    bounding box clipped against the triangle in Fractions and integrated."""
+    bounding box clipped against the triangle in Fractions and integrated;
+    each cell's exact sum over the triangles is rounded once."""
     cx, cy = resolution
     dx, dy = F(6, cx), F(6, cy)
-    cells = np.zeros(resolution)
-    total = F(0)
-    for tri, coeffs in measure._DENSITY_N4_TRIANGLES:
+    exact = {}
+    for tri, coeffs in DENSITY_N4_TRIANGLES:
         txs = [p[0] for p in tri]
         tys = [p[1] for p in tri]
         i_min, i_max = int(min(txs) / dx), min(int(max(txs) / dx) + 1, cx)
         j_min, j_max = int(min(tys) / dy), min(int(max(tys) / dy) + 1, cy)
         for i in range(i_min, i_max):
-            col = measure._clip_polygon(tri, 0, i * dx, (i + 1) * dx)
+            col = _clip_polygon(tri, 0, i * dx, (i + 1) * dx)
             if not col:
                 continue
             for j in range(j_min, j_max):
-                cell_poly = measure._clip_polygon(col, 1, j * dy, (j + 1) * dy)
+                cell_poly = _clip_polygon(col, 1, j * dy, (j + 1) * dy)
                 if len(cell_poly) >= 3:
-                    val = measure._integrate_linear_over_polygon(cell_poly, coeffs)
-                    cells[i, j] += float(val)
-                    total += val
-    return cells, float(total)
+                    exact[i, j] = exact.get((i, j), F(0)) + _integrate_linear_over_polygon(cell_poly, coeffs)
+    cells = np.zeros(resolution)
+    for (i, j), val in exact.items():
+        cells[i, j] = float(val)
+    return cells, float(sum(exact.values()))
 
 
 @st.composite
@@ -375,29 +420,22 @@ class TestHistogram:
 
 class TestDensityN4:
     def test_vanishes_outside_support(self):
-        for x, y in [(0, 0), (1, 1), (7, 0), (0, 7), (3.5, 3.5), (-1, 5)]:
-            assert exact_density_n4(x, y) == 0.0
-
-    def test_corner_values(self):
-        assert exact_density_n4(6, 0) == 0.0
-        assert exact_density_n4(0, 6) == 0.0
-        assert exact_density_n4(2, 2) == 1.0  # interior peak on the lower edge
+        # the support is x + y <= 6, x + y >= 4, x + 3y >= 6 and 3x + y >= 6;
+        # on the 12x12 grid cell (i, j) is [i/2, (i+1)/2] x [j/2, (j+1)/2]
+        h = density_n4_cell_integrals((12, 12))
+        i, j = np.indices(h.resolution) + 1  # twice the upper cell corner
+        outside = (i + j - 2 >= 12) | (i + j <= 8) | (i + 3 * j <= 12) | (3 * i + j <= 12)
+        assert (h.cells[outside] == 0.0).all() and (h.cells[~outside] > 0.0).all()
 
     def test_piece_values(self):
-        assert exact_density_n4(1.1, 3.3) == pytest.approx((3 * 1.1 + 3.3 - 6) / 2)
-        assert exact_density_n4(4.0, 1.2) == pytest.approx((6 - 4.0 - 1.2) / 2)
-        assert exact_density_n4(3.3, 1.1) == pytest.approx((3.3 + 3 * 1.1 - 6) / 2)
-
-    def test_closed_jump_edge(self):
-        assert exact_density_n4(F(6, 5), F(14, 5)) == pytest.approx(0.2)
-        assert exact_density_n4(1.5, 2.5) == 0.5
-        # the float sum 1.2 + 2.8 is exactly 4, but the values the two floats
-        # stand for sum to less than 4, outside the support
-        assert exact_density_n4(1.2, 2.8) == 0.0
+        # the exact limit's density, at points inside each triangle, is the table's piece
+        assert _limit_density(4, F("1.1"), F("3.3")) == (3 * F("1.1") + F("3.3") - 6) / 2
+        assert _limit_density(4, F("4.0"), F("1.2")) == (6 - F("4.0") - F("1.2")) / 2
+        assert _limit_density(4, F("3.3"), F("1.1")) == (F("3.3") + 3 * F("1.1") - 6) / 2
 
     def test_symmetric(self):
-        for x, y in [(1.0, 3.5), (2.5, 2.0), (0.5, 4.5)]:
-            assert exact_density_n4(x, y) == pytest.approx(exact_density_n4(y, x))
+        for x, y in [(F("1.1"), F("3.6")), (F("2.6"), F("2.1")), (F("0.6"), F("4.5"))]:
+            assert _limit_density(4, x, y) == _limit_density(4, y, x) > 0
 
     def test_total_mass(self):
         assert density_n4_total_integral() == F(8, 3)
@@ -423,6 +461,8 @@ class TestDensityN4:
     @example((1, 1))
     @example((6, 6))  # lines through (2,2), (1,3), (3,1)
     @example((7, 13))
+    @example((13, 7))
+    @example((17, 23))
     @example((40, 1))
     @example((1, 40))
     def test_cell_integrals_match_clipping_every_cell(self, resolution):
@@ -448,13 +488,29 @@ class TestDensityN4:
             assert F(diffs[0], math.factorial(k)) == _table_moment(i, j) == moment
 
 
+def _limit_density(n, x, y):
+    """Mixed derivative d^2 F / dx dy of the exact CDF of limit.cdf_cones at a
+    point on no cone edge: with t1 = x - x0 and t2 = y - y0 + r0 t1, each cone
+    polynomial P(t1, t2) contributes P_12 + r0 P_22."""
+    total = F(0)
+    for (x0, y0, r0), coeffs in limit.cdf_cones(n).items():
+        t1 = x - x0
+        t2 = y - y0 + r0 * t1
+        assert t1 != 0 and t2 != 0, "the point lies on a cone edge"
+        if t1 > 0 and t2 > 0:
+            for e, c in enumerate(coeffs):
+                a = n - 1 - e
+                total += c * e * t1 ** (a - 1) * t2 ** (e - 2) * (a * t2 + r0 * (e - 1) * t1)
+    return total
+
+
 def _table_moment(i, j):
-    """Exact integral of x^i y^j times the _DENSITY_N4_TRIANGLES density, by
+    """Exact integral of x^i y^j times the DENSITY_N4_TRIANGLES density, by
     the 4-point Strang-Fix rule, which is exact for cubics (i + j <= 2)."""
     a, b = F(3, 5), F(1, 5)
     rule = [(F(-27, 48), (F(1, 3),) * 3)] + [(F(25, 48), bary) for bary in [(a, b, b), (b, a, b), (b, b, a)]]
     total = F(0)
-    for tri, (alpha, beta, gamma) in measure._DENSITY_N4_TRIANGLES:
+    for tri, (alpha, beta, gamma) in DENSITY_N4_TRIANGLES:
         (x0, y0), (x1, y1), (x2, y2) = tri
         tri_area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
         for weight, (l0, l1, l2) in rule:
@@ -464,6 +520,38 @@ def _table_moment(i, j):
     return total
 
 
+class TestLimitCells:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_support_box_mass_is_volume(self, n):
+        _, rows, scale = next(measure._limit_cdf_strips(n, (1, 1)))
+        assert F(rows[-1, -1], scale) == polytope_volume(n)
+
+    @pytest.mark.parametrize("n, grid", [(3, 9), (4, 13), (5, 10), (6, 7), (7, 12)])
+    def test_nonnegative_and_symmetric(self, n, grid):
+        h = limit_cell_integrals(n, (grid, grid))
+        assert (h.cells >= 0).all()
+        assert h.cells.tobytes() == np.ascontiguousarray(h.cells.T).tobytes()
+        assert h.total_weight == float(polytope_volume(n))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_sampler_at_noise_floor(self, n):
+        # both pushforwards of the uniform measure are mu_n; the L1 distance of
+        # N points has null mean sum_c vol * sqrt(2 p_c (1 - p_c) / (pi N))
+        count = 200_000
+        exact = limit_cell_integrals(n, (10, 10))
+        vol = float(polytope_volume(n))
+        p = exact.cells / vol
+        null_mean = float((vol * np.sqrt(2 * p * (1 - p) / (math.pi * count))).sum())
+        batch = sample_area_polytope(n, count, seed=n)
+        for map_choice in ("dinv-area", "area-bounce"):
+            mc = pushforward_histogram(batch, map_choice, (10, 10))
+            assert l1_distance(mc, exact) < 2 * null_mean
+
+    def test_rejects_n_below_2(self):
+        with pytest.raises(ValueError):
+            limit_cell_integrals(1, (4, 4))
+
+
 class TestConvergenceReport:
     def test_n1_trivial(self):
         rep = convergence_report(1, [1, 2, 3])
@@ -471,9 +559,8 @@ class TestConvergenceReport:
         assert rep["total_weights"] == ["1", "1", "1"]
 
     def test_n2_distances_shrink(self):
-        rep = convergence_report(2, [1, 4, 16], resolution=(8, 8), mc_count=200000, seed=2)
-        d = rep["distances"]
-        assert d[2] < d[0]
+        rep = convergence_report(2, [1, 4, 16], resolution=(8, 8))
+        assert rep["distances"] == [2.5, 1.75, 0.8125]
         assert rep["limit_weight"] == "1"
 
     def test_polynomials_come_from_qtpoly_module(self, monkeypatch):
@@ -485,6 +572,10 @@ class TestConvergenceReport:
                                 lambda *a, _f=original, _n=name, **k: seen.append(_n) or _f(*a, **k))
         convergence_report(4, [2, 3], resolution=(6, 6))
         assert seen == ["qt_catalan_dinv_area", "to_normalized_measure"] * 2
+
+    def test_n5_distances_decrease(self):
+        d = convergence_report(5, [1, 2, 4], (10, 10))["distances"]
+        assert d[0] > d[1] > d[2]
 
     def test_n4_exact_reference(self):
         rep = convergence_report(4, [1, 3], resolution=(10, 10))
