@@ -50,17 +50,18 @@ def _dump_json(data: dict) -> str:
 
 
 def _error(exc: Exception) -> int:
-    """Report a rejected parameter (exit 2) or path or sampling budget (exit 3)."""
+    """Print one error line; exit 1 for an invalid path, 3 for a budget, else 2."""
     print(f"error: {exc}", file=sys.stderr)
-    return EXIT_BUDGET if isinstance(exc, discrete.BudgetExceededError) else EXIT_USAGE
+    if isinstance(exc, discrete.InvalidPathError):
+        return EXIT_CHECK_FAILURE
+    if isinstance(exc, discrete.BudgetExceededError):
+        return EXIT_BUDGET
+    return EXIT_USAGE
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    try:
-        da = qtpoly.qt_catalan_dinv_area(args.n, args.m, budget=args.budget)
-        ab = qtpoly.qt_catalan_area_bounce(args.n, args.m, budget=args.budget)
-    except (ValueError, discrete.BudgetExceededError) as exc:
-        return _error(exc)
+    da = qtpoly.qt_catalan_dinv_area(args.n, args.m, budget=args.budget)
+    ab = qtpoly.qt_catalan_area_bounce(args.n, args.m, budget=args.budget)
     equal = da == ab
     symmetric = qtpoly.transpose(da) == da
     if args.format == "csv":
@@ -75,23 +76,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.m is not None and args.m < 1:
-        print(f"error: --m must be >= 1, got {args.m}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         av = [Fraction(tok) for tok in args.area_vector.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: cannot parse area vector: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.m is not None and args.m * len(av) ** 2 >= continuous._M_STATS_LIMIT:
-        print(f"error: --m {args.m} is too large for n={len(av)}: m * n^2 must be below 2^62",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        path = continuous.ContinuousPath(av)
-    except ValueError as exc:
-        print(f"error: not a valid area vector: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
+        raise ValueError(f"cannot parse area vector: {exc}") from exc
+    path = continuous.ContinuousPath(av)
+    if args.m is not None:  # the one check of --m, before any other work
+        a_m, d_m, b_m = continuous.normalized_m_stats(path, args.m)
     bv = continuous.bounce_vector(path)
     image = continuous.transform_T(path)
     report = {
@@ -106,11 +97,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "T_bounce": str(continuous.bounce(image)),
     }
     if args.m is not None:
-        try:
-            a_m, d_m, b_m = continuous.normalized_m_stats(path, args.m)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILURE
         report["m"] = args.m
         report["normalized_area"] = str(a_m)
         report["normalized_dinv"] = str(d_m)
@@ -121,13 +107,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     if args.grid[0] != args.grid[1]:
-        print(f"error: measure needs a square grid, got {args.grid[0]}x{args.grid[1]}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
-    except (ValueError, discrete.BudgetExceededError) as exc:
-        return _error(exc)
+        raise ValueError(f"measure needs a square grid, got {args.grid[0]}x{args.grid[1]}")
+    batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
     hist = measure.pushforward_histogram(batch, args.map, args.grid)
     summary = {
         "n": args.n,
@@ -149,24 +130,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    try:
-        report = measure.convergence_report(
-            args.n,
-            args.m_list,
-            resolution=args.grid,
-            budget=args.budget,
-        )
-    except (ValueError, discrete.BudgetExceededError) as exc:
-        return _error(exc)
+    report = measure.convergence_report(args.n, args.m_list, resolution=args.grid,
+                                        budget=args.budget)
     _emit(_dump_json(report), args.out)
     return EXIT_OK
 
 
 def cmd_preserve(args: argparse.Namespace) -> int:
-    try:
-        report = measure.measure_preservation_check(args.n, count=args.samples, seed=args.seed)
-    except (ValueError, discrete.BudgetExceededError) as exc:
-        return _error(exc)
+    report = measure.measure_preservation_check(args.n, count=args.samples, seed=args.seed)
     sys.stdout.write(_dump_json(report))
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILURE
 
@@ -312,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # e.g. an --out path that cannot be written
+    except (ValueError, OSError, discrete.BudgetExceededError) as exc:
         return _error(exc)
 
 

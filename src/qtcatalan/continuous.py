@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .discrete import MDyckPath, _bounce_block, _dinv_vector, _validate_area_vector
+from .discrete import (InvalidPathError, MDyckPath, _bounce_block, _check_size, _dinv_vector,
+                       _validate_area_vector)
 
 __all__ = [
     "ContinuousPath",
@@ -41,6 +42,7 @@ __all__ = [
 Rational = Fraction | int
 
 _M_STATS_LIMIT = 2**62  # normalized_m_stats needs m * n^2 below this (int64 bounce kernel)
+_PREIMAGE_ORACLE_MAX = 9  # sort_preimage_count tries all (n - 1)! orders, so n - 1 <= this
 
 
 class DegenerateInputError(ValueError):
@@ -210,13 +212,13 @@ def jacobian_count(bv: BounceVector) -> int:
     return count
 
 
-def sort_preimage_count(bv: BounceVector, budget: int = 9) -> int:
+def sort_preimage_count(bv: BounceVector) -> int:
     """Brute-force oracle: permutations of (b_1, ..., b_{n-1}) that, prefixed
     with 0, satisfy the A_n inequalities."""
     _check_generic(bv)
     b = bv.b
-    if len(b) - 1 > budget:
-        raise ValueError(f"factorial oracle capped at n - 1 <= {budget}")
+    if len(b) - 1 > _PREIMAGE_ORACLE_MAX:
+        raise ValueError(f"factorial oracle capped at n - 1 <= {_PREIMAGE_ORACLE_MAX}")
     count = 0
     for perm in permutations(b[1:]):
         prev = Fraction(0)
@@ -235,12 +237,12 @@ def from_m_dyck(p: MDyckPath) -> ContinuousPath:
 
 
 def to_m_dyck(p: ContinuousPath, m: int) -> MDyckPath:
-    """Inverse of from_m_dyck; requires a 1/m-integral path."""
+    """Inverse of from_m_dyck; raises InvalidPathError unless p is 1/m-integral."""
     scaled = []
     for i, a in enumerate(p.area_vector):
         v = a * m
         if v.denominator != 1:
-            raise ValueError(f"a_{i} = {a} is not a multiple of 1/{m}")
+            raise InvalidPathError(f"a_{i} = {a} is not a multiple of 1/{m}")
         scaled.append(int(v))
     return MDyckPath(n=p.n, m=m, area_vector=tuple(scaled))
 
@@ -250,8 +252,9 @@ def normalized_m_stats(p: ContinuousPath, m: int) -> tuple[Fraction, Fraction, F
 
     Bounce comes from the int64 block kernel on a one-row block, which takes
     at most n steps whatever m is.  Its integers stay below about m * n^2, so
-    m with m * n^2 >= _M_STATS_LIMIT is refused (ValueError), not overflowed.
+    m < 1 or m * n^2 >= _M_STATS_LIMIT is refused (ValueError), not overflowed.
     """
+    _check_size(p.n, m)
     if m * p.n * p.n >= _M_STATS_LIMIT:
         raise ValueError(f"m * n^2 must be below 2^62, got m={m}, n={p.n}")
     av = to_m_dyck(p, m).area_vector

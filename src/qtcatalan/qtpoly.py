@@ -13,7 +13,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .discrete import _area_vector_blocks, _bounce_block, _check_size, _dinv_block
+from .discrete import (BudgetExceededError, _area_vector_blocks, _bounce_block, _check_size,
+                       _dinv_block, catalan_number_m)
 
 __all__ = [
     "QtPolynomial",
@@ -23,6 +24,8 @@ __all__ = [
     "transpose",
     "to_normalized_measure",
 ]
+
+_MAX_TERMS = 2**20  # most terms a polynomial may have (bounds the memory of its dict)
 
 
 @dataclass(frozen=True)
@@ -112,15 +115,25 @@ def _count_pairs(
     return QtPolynomial(dict(zip(zip(q.tolist(), t.tolist()), counts.tolist())))
 
 
+def _check_terms(n: int, m: int, budget: int | None) -> None:
+    """_check_size, then refuse (BudgetExceededError) more than _MAX_TERMS terms:
+    at most one per path, and at most (D + 1)^2, as every dinv, area and bounce
+    lies in [0, D], D = m n (n - 1) / 2."""
+    _check_size(n, m, budget)
+    most = min(catalan_number_m(n, m), (m * n * (n - 1) // 2 + 1) ** 2)
+    if most > _MAX_TERMS:
+        raise BudgetExceededError(f"(n={n}, m={m}) may have {most} terms, cap is {_MAX_TERMS}")
+
+
 def qt_catalan_dinv_area(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^dinv(D) t^area(D) over all m-Dyck paths of height n."""
-    _check_size(n, m, budget)
+    _check_terms(n, m, budget)
     return _count_pairs(n, m, lambda b: (_dinv_block(b, m), b.sum(axis=1)))
 
 
 def qt_catalan_area_bounce(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^area(D) t^bounce(D) over all m-Dyck paths of height n."""
-    _check_size(n, m, budget)
+    _check_terms(n, m, budget)
     return _count_pairs(n, m, lambda b: (b.sum(axis=1), _bounce_block(b, m)))
 
 

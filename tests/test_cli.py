@@ -5,7 +5,8 @@ import time
 import pytest
 
 from qtcatalan.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, _parse_grid, main
-from qtcatalan import measure
+from qtcatalan import measure, qtpoly
+from qtcatalan.discrete import BudgetExceededError
 from qtcatalan.measure import measure_preservation_check
 
 
@@ -49,6 +50,16 @@ class TestPoly:
         lines = out.splitlines()
         assert lines[0] == "q,t,coeff"
         assert lines[1:] == [f"{m - a},{a},1" for a in range(m + 1)]
+
+    def test_term_cap_exit_3(self, capsys, monkeypatch):
+        def refuse(n, m):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(qtpoly, "_area_vector_blocks", refuse)
+        code, out, err = run(["poly", "--n", "3", "--m", "2500"], capsys)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "poly.json"
@@ -236,6 +247,40 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "0,2.5", "--m", "0"],  # the path is checked before --m
+            ["stats", "0,1/2", "--m", "3"],  # not 1/m-integral
+        ],
+    )
+    def test_invalid_path_exit_1(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_CHECK_FAILURE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "target, exc, argv, expected",
+        [
+            ("pushforward_histogram", ValueError, ["measure", "--n", "3", "--samples", "100"],
+             EXIT_USAGE),
+            ("limit_cell_integrals", BudgetExceededError,
+             ["measure", "--n", "4", "--samples", "100"], EXIT_BUDGET),
+        ],
+    )
+    def test_library_errors_map_to_exit_codes(self, target, exc, argv, expected, capsys,
+                                              monkeypatch):
+        # an error from deep in a command still ends in one line and its exit code
+        def fail(*args, **kwargs):
+            raise exc("raised in the library")
+
+        monkeypatch.setattr(measure, target, fail)
+        code, out, err = run(argv, capsys)
+        assert code == expected
+        assert out == ""
+        assert err == "error: raised in the library\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -551,6 +551,18 @@ class TestLimitCells:
         with pytest.raises(ValueError):
             limit_cell_integrals(1, (4, 4))
 
+    @pytest.mark.parametrize("corners", [1, 7, 64, 1000])
+    def test_strips_join_bit_exactly(self, corners, monkeypatch):
+        # the default strip holds every grid up to 255x255, so only a smaller
+        # one makes consecutive strips share a row of corners
+        grids = [(13, 7), (7, 13), (60, 60), (40, 1)]
+        whole = {(n, g): limit_cell_integrals(n, g) for n in range(3, 7) for g in grids}
+        monkeypatch.setattr(measure, "_STRIP_CORNERS", corners)
+        for (n, g), h in whole.items():
+            strips = limit_cell_integrals(n, g)
+            assert np.array_equal(strips.cells.view(np.int64), h.cells.view(np.int64))
+            assert strips.total_weight == h.total_weight
+
 
 class TestConvergenceReport:
     def test_n1_trivial(self):

@@ -100,6 +100,21 @@ class TestCatalanPolynomials:
                 construct(6, 3, budget=10)
 
     @pytest.mark.parametrize(
+        "n, m, refused",
+        [(3, 835, False), (3, 836, True), (3, 2500, True), (2, 2**20 - 1, False), (2, 2**20, True)],
+    )
+    def test_term_cap_checked_before_enumerating(self, n, m, refused, monkeypatch):
+        # min(paths, (D + 1)^2) bounds the terms, D = m n (n - 1) / 2; (3, 2500)
+        # is within the default path budget but has 9 381 251 terms
+        def refuse(n, m):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(qtpoly, "_area_vector_blocks", refuse)
+        for construct in (qt_catalan_dinv_area, qt_catalan_area_bounce):
+            with pytest.raises(BudgetExceededError if refused else AssertionError):
+                construct(n, m, budget=10**7)
+
+    @pytest.mark.parametrize(
         "n,m",
         [(n, m) for n in range(1, 7) for m in range(1, 4)]
         # the other six `poly` points of the benchmark; (6, 3) is above
