@@ -9,6 +9,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -46,7 +47,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # json.dump writes each chunk as it is made; json.dumps with indent joins them all at the end
+    buf = io.StringIO()
+    json.dump(data, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _error(exc: Exception) -> int:
@@ -209,7 +214,7 @@ def _random_generic_bounce_vector(n: int, rng) -> continuous.BounceVector:
             bv = continuous.BounceVector(b)
             continuous.jacobian_count(bv)
             return bv
-        except (ValueError, continuous.DegenerateInputError):
+        except continuous.DegenerateInputError:
             continue
 
 

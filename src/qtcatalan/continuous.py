@@ -93,10 +93,6 @@ class BounceVector:
                 )
         object.__setattr__(self, "b", bv)
 
-    @property
-    def n(self) -> int:
-        return len(self.b)
-
 
 def sc(x: Rational) -> Fraction:
     """Continuous scoring kernel max(1 - |x|, 0)."""

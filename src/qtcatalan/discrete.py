@@ -186,7 +186,7 @@ def bounce_path_m(p: MDyckPath) -> BouncePathM:
 
 
 def _bounce_runs(cols: Sequence, m: int) -> tuple[list[int], list[int]]:
-    """Bounce runs (v, h) over sorted north-step columns, int or Fraction."""
+    """Bounce runs (v, h) over sorted integer north-step columns."""
     n = len(cols)
     v: list[int] = []
     h: list[int] = []

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .discrete import BudgetExceededError, _check_size, catalan_number_m
+from .discrete import BudgetExceededError, catalan_number_m
 from . import limit, qtpoly
 
 __all__ = [
@@ -199,23 +199,24 @@ def batch_transform_T(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Histogram2D:
-    """Dense 2D histogram with half-open cells (last cell closed)."""
+    """Dense 2D histogram on default_bounds(n) with half-open cells (last cell closed)."""
 
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction]  # x_lo, x_hi, y_lo, y_hi
-    resolution: tuple[int, int]
-    cells: np.ndarray  # shape resolution, weights
+    n: int
+    cells: np.ndarray  # weights, one per cell of the grid
     total_weight: float
 
-    def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        x_lo, x_hi, y_lo, y_hi = (float(v) for v in self.bounds)
-        return (
-            np.linspace(x_lo, x_hi, self.resolution[0] + 1),
-            np.linspace(y_lo, y_hi, self.resolution[1] + 1),
-        )
+    @property
+    def bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return default_bounds(self.n)
+
+    @property
+    def resolution(self) -> tuple[int, int]:
+        return self.cells.shape
 
     def to_csv(self) -> str:
         # plain Python floats: numpy >= 2 spells its scalars np.float64(...)
-        xs, ys = (edges.tolist() for edges in self.cell_edges())
+        hi = float(self.bounds[1])
+        xs, ys = (np.linspace(0.0, hi, k + 1).tolist() for k in self.resolution)
         cells = self.cells.tolist()
         lines = ["x_lo,x_hi,y_lo,y_hi,weight"]
         for i in range(self.resolution[0]):
@@ -251,17 +252,11 @@ def pushforward_histogram(
         ys = batch_bounce(batch.points)
     else:
         raise ValueError(f"unknown map choice {map_choice!r}")
-    bounds = default_bounds(batch.n)
-    hi = float(bounds[1])
+    hi = float(default_bounds(batch.n)[1])
     cells, _, _ = np.histogram2d(xs, ys, bins=resolution, range=[[0.0, hi], [0.0, hi]])
     weight = float(polytope_volume(batch.n)) / batch.count
     cells *= weight
-    return Histogram2D(
-        bounds=bounds,
-        resolution=resolution,
-        cells=cells,
-        total_weight=weight * batch.count,
-    )
+    return Histogram2D(n=batch.n, cells=cells, total_weight=weight * batch.count)
 
 
 def _cell_index(num: np.ndarray, den: int, hi: int, cells: int) -> np.ndarray:
@@ -294,12 +289,11 @@ def bin_discrete_measure(
     weights = np.array([c / measure.weight_den for c in measure.atoms[keep, 2].tolist()], dtype=float)
     cells = np.bincount(i[keep] * cy + j[keep], weights=weights, minlength=cx * cy)
     total = float(np.cumsum(weights)[-1]) if weights.size else 0.0  # sequential, as the cells
-    return Histogram2D(bounds=default_bounds(n), resolution=resolution,
-                       cells=cells.reshape(resolution), total_weight=total)
+    return Histogram2D(n=n, cells=cells.reshape(resolution), total_weight=total)
 
 
 def l1_distance(h1: Histogram2D, h2: Histogram2D) -> float:
-    if h1.resolution != h2.resolution or h1.bounds != h2.bounds:
+    if (h1.n, h1.cells.shape) != (h2.n, h2.cells.shape):
         raise ValueError("histograms must share grid and bounds")
     return float(np.abs(h1.cells - h2.cells).sum())
 
@@ -358,8 +352,7 @@ def limit_cell_integrals(n: int, resolution: tuple[int, int]) -> Histogram2D:
         block = np.diff(np.diff(rows, axis=0), axis=1).tolist()
         cells[lo:lo + len(block)] = [[v / scale for v in row] for row in block]
     # the last strip ends at the corner (D, D)
-    return Histogram2D(bounds=default_bounds(n), resolution=resolution, cells=cells,
-                       total_weight=rows[-1, -1] / scale)
+    return Histogram2D(n=n, cells=cells, total_weight=rows[-1, -1] / scale)
 
 
 def density_n4_cell_integrals(resolution: tuple[int, int] = (60, 60)) -> Histogram2D:
@@ -389,7 +382,7 @@ def convergence_report(
     if not m_list:
         raise ValueError("m_list must be nonempty")
     for m in m_list:
-        _check_size(n, m, budget)
+        qtpoly._check_terms(n, m, budget)
     if n == 1:
         distances = [0.0 for _ in m_list]
     else:

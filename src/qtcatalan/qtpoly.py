@@ -38,14 +38,6 @@ class QtPolynomial:
         pruned = {k: int(c) for k, c in self.coeffs.items() if c != 0}
         object.__setattr__(self, "coeffs", pruned)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QtPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def evaluate(self, q: int | Fraction, t: int | Fraction):
         return sum(c * q**i * t**j for (i, j), c in self.coeffs.items())
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
-from qtcatalan.cli import EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, _parse_grid, main
+from qtcatalan.cli import (EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, _dump_json, _parse_grid,
+                           main)
 from qtcatalan import measure, qtpoly
 from qtcatalan.discrete import BudgetExceededError
 from qtcatalan.measure import measure_preservation_check
@@ -67,6 +69,18 @@ class TestPoly:
         assert code == EXIT_OK
         data = json.loads(dest.read_text())
         assert data["m"] == 2
+
+    def test_json_encoded_into_one_buffer(self):
+        # json.dumps with indent keeps every chunk in a list before joining them
+        data = {"terms": [{"q": i, "t": 50_000 - i, "c": "1"} for i in range(50_000)]}
+        tracemalloc.start()
+        try:
+            text = _dump_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert peak < 3 * len(text)
 
 
 class TestStats:
@@ -170,6 +184,17 @@ class TestConverge:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err.lower()
+
+    def test_term_cap_checked_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(measure, "limit_cell_integrals", refuse)
+        monkeypatch.setattr(qtpoly, "_area_vector_blocks", refuse)
+        code, out, err = run(["converge", "--n", "3", "--m-list", "400", "2500"], capsys)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestPreserve:

@@ -64,6 +64,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="b_1 <= b_0"):
             BounceVector([0, F(3, 2)])
 
+    def test_bounce_vector_empty_or_off_zero(self):
+        with pytest.raises(ValueError, match="bounce vector must be nonempty"):
+            BounceVector([])
+        with pytest.raises(ValueError, match="b_0 = 1, must be 0"):
+            BounceVector([1, 1])
+
 
 class TestScalarStatistics:
     def test_sc(self):

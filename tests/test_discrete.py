@@ -60,6 +60,10 @@ class TestValidation:
         with pytest.raises(InvalidPathError):
             MDyckPath(n=2, m=1, area_vector=(0, -1))
 
+    def test_length_must_match_height(self):
+        with pytest.raises(InvalidPathError, match="area vector has length 2, expected 3"):
+            MDyckPath(n=3, m=1, area_vector=(0, 1))
+
 
 class TestEnumeration:
     def test_single_path(self):

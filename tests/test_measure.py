@@ -379,6 +379,16 @@ class TestHistogram:
         with pytest.raises(ValueError):
             l1_distance(h1, h2)
 
+    def test_l1_requires_matching_heights(self):
+        # same grid, different support boxes [0, 3]^2 and [0, 6]^2
+        m = _measure((0, 0, 1))
+        with pytest.raises(ValueError, match="histograms must share grid and bounds"):
+            l1_distance(bin_discrete_measure(m, (4, 4), 3), bin_discrete_measure(m, (4, 4), 4))
+
+    def test_transpose_deviation_refuses_non_square_grid(self):
+        with pytest.raises(ValueError, match="transpose deviation needs a square grid"):
+            limit_cell_integrals(4, (3, 5)).transpose_deviation()
+
     def test_transpose_deviation_symmetric_input(self):
         m = _measure((1, 2, 1), (2, 1, 1))
         h = bin_discrete_measure(m, (6, 6), 3)
@@ -588,6 +598,20 @@ class TestConvergenceReport:
     def test_n5_distances_decrease(self):
         d = convergence_report(5, [1, 2, 4], (10, 10))["distances"]
         assert d[0] > d[1] > d[2]
+
+    def test_rejects_empty_m_list(self):
+        with pytest.raises(ValueError, match="m_list must be nonempty"):
+            convergence_report(4, [])
+
+    def test_term_cap_checked_before_any_work(self, monkeypatch):
+        # m = 2500 passes the path budget but not the term cap; m = 400 would run first
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(measure, "limit_cell_integrals", refuse)
+        monkeypatch.setattr(qtpoly, "_area_vector_blocks", refuse)
+        with pytest.raises(BudgetExceededError, match="terms"):
+            convergence_report(3, [400, 2500], budget=10**7)
 
     def test_n4_exact_reference(self):
         rep = convergence_report(4, [1, 3], resolution=(10, 10))
