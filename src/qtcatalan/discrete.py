@@ -92,16 +92,21 @@ def catalan_number_m(n: int, m: int) -> int:
     return q
 
 
-def _check_size(n: int, m: int, budget: int | None = None) -> None:
+def _check_size(n: int, m: int, budget: int | None = None) -> int | None:
     """Reject n < 1 or m < 1 (ValueError), and more than ``budget`` paths
-    (BudgetExceededError).  Every enumeration passes through here before
-    doing any work."""
+    (BudgetExceededError); return the path count if it was counted.  As
+    C^(m)_n >= C_n >= 2^(n-1), n - 1 > budget.bit_length() is refused
+    without counting.  Every enumeration passes through here before doing
+    any work."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if budget is not None:
+    if budget is None:
+        return None
+    if n - 1 <= budget.bit_length():
         total = catalan_number_m(n, m)
-        if total > budget:
-            raise BudgetExceededError(f"(n={n}, m={m}) has {total} paths, budget is {budget}")
+        if total <= budget:
+            return total
+    raise BudgetExceededError(f"path budget exceeded: (n={n}, m={m}) has more than {budget} paths")
 
 
 def enumerate_m_dyck(n: int, m: int, budget: int | None = None) -> Iterator[MDyckPath]:

@@ -24,6 +24,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
+__all__ = ["cdf_cones"]
+
 Cone = tuple[int, int, Fraction]  # (x0, y0, r0) = (n(mu'), n(mu), pole)
 
 

@@ -105,8 +105,10 @@ def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) ->
     are copied straight into the preallocated points.
     ``seed`` is an int or a Generator, which is drawn from as given.  Raises
     BudgetExceededError, before drawing, when the expected proposal count
-    count * (n-1)! / vol(A_n) exceeds _MAX_PROPOSALS or the points would
-    hold more than _MAX_COORDINATES floats.
+    count * (n-1)! / vol(A_n) = count * ((n-1)!)^2 / n^(n-2) exceeds
+    _MAX_PROPOSALS (it grows with n, so it is built one height at a time and
+    never far past the cap) or the points would hold more than
+    _MAX_COORDINATES floats.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
@@ -116,8 +118,12 @@ def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) ->
         raise BudgetExceededError(
             f"{count} samples at n={n} need more than {_MAX_COORDINATES:,} coordinates"
         )
-    # exact: the float ratio overflows for large n
-    if count * math.factorial(n - 1) > _MAX_PROPOSALS * polytope_volume(n):
+    proposals = Fraction(count)  # at height 2; exact, as floats overflow for large n
+    for k in range(2, n):
+        if proposals > _MAX_PROPOSALS:
+            break
+        proposals *= Fraction(k**k, (k + 1) ** (k - 1))  # from height k to k + 1
+    if proposals > _MAX_PROPOSALS:
         raise BudgetExceededError(
             f"{count} samples at n={n} need more than {_MAX_PROPOSALS:,} proposals"
         )
@@ -231,6 +237,11 @@ class Histogram2D:
         return float(np.abs(self.cells - self.cells.T).sum())
 
 
+def _check_grid(resolution: Sequence[int]) -> None:
+    if min(resolution) < 1:
+        raise ValueError(f"grid sizes must be positive, got {tuple(resolution)}")
+
+
 def default_bounds(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Support box [0, n(n-1)/2]^2 from the staircase maximum of the statistics."""
     hi = Fraction(n * (n - 1), 2)
@@ -244,6 +255,7 @@ def pushforward_histogram(
 ) -> Histogram2D:
     """Histogram the image of a sample batch on default_bounds(n); each sample
     carries weight vol(A_n) / count so the total weight is the polytope volume."""
+    _check_grid(resolution)
     if map_choice == "dinv-area":
         xs = batch_dinv(batch.points)
         ys = batch_area(batch.points)
@@ -281,6 +293,7 @@ def bin_discrete_measure(
     atoms on the outer boundary are retained.  Each weight is the float
     nearest c / weight_den, and the weights are summed in atom order.
     """
+    _check_grid(resolution)
     hi = int(default_bounds(n)[1])
     cx, cy = resolution
     i = _cell_index(measure.atoms[:, 0], measure.den, hi, cx)
@@ -347,6 +360,7 @@ def limit_cell_integrals(n: int, resolution: tuple[int, int]) -> Histogram2D:
     """Exact per-cell masses of the limit measure mu_n over default_bounds(n).
     Each cell is an inclusion-exclusion of the integer CDF corners divided by
     their scale, a correctly rounded int / int: the float nearest the exact mass."""
+    _check_grid(resolution)
     cells = np.empty(resolution)
     for lo, rows, scale in _limit_cdf_strips(n, resolution):
         block = np.diff(np.diff(rows, axis=0), axis=1).tolist()
@@ -381,6 +395,7 @@ def convergence_report(
     sequence."""
     if not m_list:
         raise ValueError("m_list must be nonempty")
+    _check_grid(resolution)
     for m in m_list:
         qtpoly._check_terms(n, m, budget)
     if n == 1:
@@ -420,9 +435,12 @@ def measure_preservation_check(
     binomial noise floor sqrt(c1 + c2).  The L1 budget is the null mean of
     the aggregate L1 plus five null standard deviations (_null_l1_moments).
     Raises BudgetExceededError, before drawing, when a histogram would hold
-    more than _MAX_COORDINATES cells.
+    more than _MAX_COORDINATES cells; resolution^(n-1) >= 2^(n-1) decides
+    that at once past n - 1 > _MAX_COORDINATES.bit_length().
     """
-    if resolution ** (n - 1) > _MAX_COORDINATES:
+    _check_grid((resolution,))
+    if resolution > 1 and (n - 1 > _MAX_COORDINATES.bit_length()
+                           or resolution ** (n - 1) > _MAX_COORDINATES):
         raise BudgetExceededError(
             f"{n - 1} coordinates at {resolution} bins each need more than "
             f"{_MAX_COORDINATES:,} histogram cells"

@@ -110,11 +110,17 @@ def _count_pairs(
 def _check_terms(n: int, m: int, budget: int | None) -> None:
     """_check_size, then refuse (BudgetExceededError) more than _MAX_TERMS terms:
     at most one per path, and at most (D + 1)^2, as every dinv, area and bounce
-    lies in [0, D], D = m n (n - 1) / 2."""
-    _check_size(n, m, budget)
-    most = min(catalan_number_m(n, m), (m * n * (n - 1) // 2 + 1) ** 2)
-    if most > _MAX_TERMS:
-        raise BudgetExceededError(f"(n={n}, m={m}) may have {most} terms, cap is {_MAX_TERMS}")
+    lies in [0, D], D = m n (n - 1) / 2.  The paths are counted at most once,
+    and not when 2^(n-1) <= C^(m)_n decides."""
+    paths = _check_size(n, m, budget)
+    if (m * n * (n - 1) // 2 + 1) ** 2 <= _MAX_TERMS:
+        return
+    if paths is None and n - 1 <= _MAX_TERMS.bit_length():
+        paths = catalan_number_m(n, m)
+    if paths is None or paths > _MAX_TERMS:
+        raise BudgetExceededError(
+            f"term cap exceeded: (n={n}, m={m}) may have more than 2^{_MAX_TERMS.bit_length() - 1} terms"
+        )
 
 
 def qt_catalan_dinv_area(n: int, m: int, budget: int | None = None) -> QtPolynomial:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 
 from qtcatalan.cli import (EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE, _dump_json, _parse_grid,
                            main)
-from qtcatalan import measure, qtpoly
+from qtcatalan import discrete, measure, qtpoly
 from qtcatalan.discrete import BudgetExceededError
 from qtcatalan.measure import measure_preservation_check
 
@@ -361,6 +362,66 @@ class TestUsage:
             run(["measure", "--n", "3", "--samples", "100"], capsys)
         assert exc.value.code == EXIT_USAGE
         assert "error: " in capsys.readouterr().err.splitlines()[-1]
+
+
+class _SmallPowers(int):
+    """An int that refuses to be raised to a power past 64."""
+
+    def __pow__(self, exponent):
+        assert exponent <= 64, f"built {int(self)}^{exponent}"
+        return int(self) ** exponent
+
+
+class TestRefusalsBuildNothing:
+    """Each refusal decides from a bound, so the function that would build the
+    refused number fails if it is reached; the CLI still exits 3 at once."""
+
+    @staticmethod
+    def guard(monkeypatch, owner, name, largest):
+        original = getattr(owner, name)
+
+        def guarded(first, *rest):
+            assert first <= largest, f"{name}({first}, ...) was built"
+            return original(first, *rest)
+
+        monkeypatch.setattr(owner, name, guarded)
+
+    @staticmethod
+    def assert_refused(code, out, err):
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "--n", "3000", "--m", "1"],
+            ["poly", "--n", "8000", "--m", "1"],  # str() of C_8000 passes 4300 digits
+            ["poly", "--n", "1000000", "--m", "1"],
+            ["converge", "--n", "1000000", "--m-list", "1"],
+        ],
+    )
+    def test_path_budget_counts_no_paths(self, argv, capsys, monkeypatch):
+        for owner in (discrete, qtpoly):
+            self.guard(monkeypatch, owner, "catalan_number_m", 64)
+        code, out, err = run(argv, capsys)
+        self.assert_refused(code, out, err)
+        assert "more than 10000000 paths" in err
+
+    @pytest.mark.parametrize("n", ["100000", "10000000"])
+    def test_proposal_cap_builds_no_factorial(self, n, capsys, monkeypatch):
+        self.guard(monkeypatch, math, "factorial", 1000)
+        code, out, err = run(["measure", "--n", n, "--samples", "1"], capsys)
+        self.assert_refused(code, out, err)
+        assert "proposals" in err
+
+    def test_histogram_cap_builds_no_power(self, capsys, monkeypatch):
+        check = measure.measure_preservation_check
+        monkeypatch.setattr(measure, "measure_preservation_check",
+                            lambda n, **kw: check(n, resolution=_SmallPowers(10), **kw))
+        code, out, err = run(["preserve", "--n", "10000000"], capsys)
+        self.assert_refused(code, out, err)
+        assert "histogram cells" in err
 
 
 class TestByteIdentity:

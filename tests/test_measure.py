@@ -574,6 +574,25 @@ class TestLimitCells:
             assert strips.total_weight == h.total_weight
 
 
+class TestGridSizes:
+    @pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 4)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda grid: limit_cell_integrals(4, grid),
+            lambda grid: convergence_report(3, [2], resolution=grid),
+            lambda grid: bin_discrete_measure(_measure((1, 1, 1)), grid, 3),
+            lambda grid: pushforward_histogram(sample_area_polytope(3, 10, 0), "dinv-area", grid),
+            lambda grid: measure_preservation_check(3, count=10, resolution=min(grid)),
+        ],
+        ids=["limit_cell_integrals", "convergence_report", "bin_discrete_measure",
+             "pushforward_histogram", "measure_preservation_check"],
+    )
+    def test_grid_below_one_cell_refused(self, build, grid):
+        with pytest.raises(ValueError, match="grid sizes must be positive"):
+            build(grid)
+
+
 class TestConvergenceReport:
     def test_n1_trivial(self):
         rep = convergence_report(1, [1, 2, 3])

@@ -99,6 +99,19 @@ class TestCatalanPolynomials:
             with pytest.raises(BudgetExceededError):
                 construct(6, 3, budget=10)
 
+    @pytest.mark.parametrize("n, m", [(3, 10**3000), (10**6, 1)], ids=["m=10^3000", "n=10^6"])
+    def test_term_cap_builds_no_count_or_string(self, n, m, monkeypatch):
+        # str() of a count past 4300 digits raises ValueError, and C_(10^6) has ~600 000 digits
+        count = qtpoly.catalan_number_m
+
+        def guarded(n, m):
+            assert n <= 64, f"C^({m})_{n} was built"
+            return count(n, m)
+
+        monkeypatch.setattr(qtpoly, "catalan_number_m", guarded)
+        with pytest.raises(BudgetExceededError, match="more than 2\\^20 terms"):
+            qt_catalan_dinv_area(n, m)
+
     @pytest.mark.parametrize(
         "n, m, refused",
         [(3, 835, False), (3, 836, True), (3, 2500, True), (2, 2**20 - 1, False), (2, 2**20, True)],
