@@ -252,7 +252,7 @@ def normalized_m_stats(p: ContinuousPath, m: int) -> tuple[Fraction, Fraction, F
     """
     _check_size(p.n, m)
     if m * p.n * p.n >= _M_STATS_LIMIT:
-        raise ValueError(f"m * n^2 must be below 2^62, got m={m}, n={p.n}")
+        raise ValueError("m * n^2 must be below 2^62")
     av = to_m_dyck(p, m).area_vector
     return (
         Fraction(sum(av), m),

@@ -9,7 +9,9 @@ lattice picture is reconstructed whenever a simulation needs it.
 
 Enumeration and the dinv and bounce statistics also come as int64 numpy
 kernels over blocks of area vectors, which the polynomial constructions use;
-the scalar versions are their exact oracle.
+the scalar versions are their exact oracle.  The bounce kernel does not walk
+the bounce path run by run: for each north step in turn it finds the run
+that picks the step up, in closed form, so it takes n - 1 steps whatever m is.
 """
 
 from __future__ import annotations
@@ -93,20 +95,23 @@ def catalan_number_m(n: int, m: int) -> int:
 
 
 def _check_size(n: int, m: int, budget: int | None = None) -> int | None:
-    """Reject n < 1 or m < 1 (ValueError), and more than ``budget`` paths
-    (BudgetExceededError); return the path count if it was counted.  As
-    C^(m)_n >= C_n >= 2^(n-1), n - 1 > budget.bit_length() is refused
-    without counting.  Every enumeration passes through here before doing
-    any work."""
+    """Reject n < 1, m < 1 or a negative budget (ValueError), and more than
+    ``budget`` paths (BudgetExceededError); return the path count if it was
+    counted.  As C^(m)_n >= C_n >= 2^(n-1), n - 1 > budget.bit_length() is
+    refused without counting.  Every enumeration passes through here before
+    doing any work.  Messages name the bound, never n or m, which may have
+    more digits than Python will format."""
     if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        raise ValueError("need n >= 1 and m >= 1")
     if budget is None:
         return None
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     if n - 1 <= budget.bit_length():
         total = catalan_number_m(n, m)
         if total <= budget:
             return total
-    raise BudgetExceededError(f"path budget exceeded: (n={n}, m={m}) has more than {budget} paths")
+    raise BudgetExceededError(f"path budget exceeded: C^(m)_n has more than {budget} paths")
 
 
 def enumerate_m_dyck(n: int, m: int, budget: int | None = None) -> Iterator[MDyckPath]:
@@ -217,44 +222,28 @@ def _bounce_stat(av: Sequence[int], m: int) -> int:
 
 def _bounce_block(block: np.ndarray, m: int) -> np.ndarray:
     """bounce of every row of an int64 block of valid area vectors: the walk
-    of _bounce_runs, jumping from one nonzero vertical run to the next.
+    of _bounce_runs, one pickup run per north step.
 
-    With y_k the height after run k (y_k = 0 for k < 0), the walk is at
-    r_k = y_{k-1} + ... + y_{k-m} = sum_e dy_e * min(k - t_e, m), where run
-    t_e rose by dy_e.  For k past the last rise, r_k is the least of the
-    lines m * S_j + C_j * k - O_j (S_j = sum_{e<j} dy_e saturated,
-    C_j = sum_{e>=j} dy_e climbing, O_j = sum_{e>=j} dy_e t_e), so the next
-    rise is at the least k where every line with C_j > 0 reaches the next
-    north-step column.  A row rises at most n times, and bounce is
-    sum_e t_e * dy_e.
+    The north-step columns c_i = m * i - a_i are nondecreasing, as
+    a_{i+1} <= a_i + m.  Let k_i be the run that picks up step i (the first
+    run whose position reaches c_i); then bounce = sum_i k_i.  For
+    k >= k_{i-1}, run k stands at r_k = sum_{j<i} min(k - k_j, m), the least
+    of the lines m * l + sum_{l<=j<i} (k - k_j) for l = 0, ..., i - 1, so
+    k_0 = 0 and k_i = max_l ceil((c_i - m * l + sum_{l<=j<i} k_j) / (i - l)).
+    That is never below k_{i-1}: if p is the first step with k_p = k_{i-1} > 0,
+    run k_{i-1} - 1 fell short of c_p <= c_i, and at that run every line
+    through l < p lies lower for i steps than for p.  Every intermediate is at
+    most about m * n^2, as sum_i k_i is the bounce.
     """
     rows, n = block.shape
-    cols = m * np.arange(n) - block  # north-step columns, in row order
-    t = np.zeros((rows, n), dtype=np.int64)  # run index of rise e
-    dy = np.zeros((rows, n), dtype=np.int64)  # height gained at rise e
-    y = (cols <= 0).sum(axis=1)  # run 0 rises to the columns at x = 0
-    dy[:, 0] = y
-    r = np.zeros(rows, dtype=np.int64)  # position of the last rise
-    bounce = np.zeros(rows, dtype=np.int64)
-    for e in range(1, n):
-        live = y < n
-        if not live.any():
-            break
-        # the next column past r (m * n, beyond every column, once y = n)
-        target = np.where(cols > r[:, None], cols, m * n).min(axis=1)
-        saturated = np.cumsum(dy, axis=1) - dy
-        climbing = y[:, None] - saturated
-        moment = np.cumsum(dy * t, axis=1)
-        offset = moment[:, -1:] - moment + dy * t
-        need = target[:, None] - m * saturated + offset
-        step = np.maximum(climbing, 1)
-        k = ((need + step - 1) // step * (climbing > 0)).max(axis=1)
-        r = (dy * np.minimum(k[:, None] - t, m)).sum(axis=1)
-        rise = ((cols <= r[:, None]).sum(axis=1) - y) * live
-        t[:, e], dy[:, e] = k, rise
-        bounce += k * rise
-        y = y + rise
-    return bounce
+    cols = m * np.arange(n) - block
+    k = np.zeros((rows, n), dtype=np.int64)
+    for i in range(1, n):
+        j = np.arange(i)  # the lines l = 0, ..., i - 1
+        later = np.cumsum(k[:, i - 1::-1], axis=1)[:, ::-1]  # k_l + ... + k_{i-1}
+        need = cols[:, i:i + 1] - m * j + later
+        k[:, i] = (-(-need // (i - j))).max(axis=1)
+    return k.sum(axis=1)
 
 
 def bounce_m(p: MDyckPath) -> int:

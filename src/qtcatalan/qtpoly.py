@@ -119,7 +119,7 @@ def _check_terms(n: int, m: int, budget: int | None) -> None:
         paths = catalan_number_m(n, m)
     if paths is None or paths > _MAX_TERMS:
         raise BudgetExceededError(
-            f"term cap exceeded: (n={n}, m={m}) may have more than 2^{_MAX_TERMS.bit_length() - 1} terms"
+            f"term cap exceeded: C^(m)_n may have more than 2^{_MAX_TERMS.bit_length() - 1} terms"
         )
 
 

@@ -10,6 +10,7 @@ from qtcatalan.cli import (EXIT_BUDGET, EXIT_CHECK_FAILURE, EXIT_OK, EXIT_USAGE,
                            main)
 from qtcatalan import discrete, measure, qtpoly
 from qtcatalan.discrete import BudgetExceededError
+from qtcatalan.continuous import ContinuousPath, normalized_m_stats
 from qtcatalan.measure import measure_preservation_check
 
 
@@ -422,6 +423,52 @@ class TestRefusalsBuildNothing:
         code, out, err = run(["preserve", "--n", "10000000"], capsys)
         self.assert_refused(code, out, err)
         assert "histogram cells" in err
+
+
+_HUGE = 10**5000  # past the 4300 digits Python will convert to str
+_LONG = "9" * 3000  # a CLI integer whose str is far longer than one error line
+
+
+class TestRefusalsNameTheBound:
+    """A refusal names the bound it enforces, never the caller's integer,
+    which may be too long to print or to format at all."""
+
+    @pytest.mark.parametrize(
+        "call,error,text",
+        [
+            (lambda: qtpoly.qt_catalan_dinv_area(2, 10**3000), BudgetExceededError, "2^20 terms"),
+            (lambda: qtpoly.qt_catalan_dinv_area(2, _HUGE), BudgetExceededError, "2^20 terms"),
+            (lambda: qtpoly.qt_catalan_dinv_area(-_HUGE, 1), ValueError, "n >= 1"),
+            (lambda: qtpoly.qt_catalan_dinv_area(3, 2, budget=-5), ValueError, "budget must be non-negative"),
+            (lambda: measure.sample_area_polytope(4, _HUGE, 0), BudgetExceededError, "coordinates"),
+            (lambda: measure.sample_area_polytope(_HUGE, 1, 0), BudgetExceededError, "coordinates"),
+            (lambda: measure_preservation_check(_HUGE), BudgetExceededError, "histogram cells"),
+            (lambda: measure_preservation_check(3, resolution=-_HUGE), ValueError, "grid sizes"),
+            (lambda: normalized_m_stats(ContinuousPath([0] * 8), _HUGE), ValueError, "2^62"),
+        ],
+        ids=["terms-3000-digits", "terms", "size", "budget", "sample-count", "sample-n", "preserve-n", "preserve-grid", "m-stats"],
+    )
+    def test_library(self, call, error, text):
+        with pytest.raises(error) as info:
+            call()
+        assert text in str(info.value) and len(str(info.value)) < 200
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["poly", "--n", "2", "--m", _LONG], EXIT_BUDGET),
+            (["converge", "--n", "2", "--m-list", _LONG], EXIT_BUDGET),
+            (["measure", "--n", "3", "--samples", _LONG], EXIT_BUDGET),
+            (["preserve", "--n", _LONG], EXIT_BUDGET),
+            (["stats", "0,1", "--m", _LONG], EXIT_USAGE),
+            (["poly", "--n", "3", "--m", "2", "--budget", "-5"], EXIT_USAGE),
+        ],
+        ids=["poly-m", "converge-m", "measure-samples", "preserve-n", "stats-m", "poly-budget"],
+    )
+    def test_cli(self, argv, code, capsys):
+        got, out, err = run(argv, capsys)
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err) < 200
 
 
 class TestByteIdentity:

@@ -282,6 +282,11 @@ class TestNormalizedStatistics:
         with pytest.raises(ValueError, match="2\\^62"):
             normalized_m_stats(ContinuousPath([0] * 8), 2**59 - 1)
 
+    @pytest.mark.parametrize("av,bounce", [([0] * 8, 28), (list(range(8)), 0), ([0, 1] * 4, 12)])
+    def test_largest_accepted_m(self, av, bounce):
+        # m * n^2 = 2^62 - 64: the bounce kernel's integers come closest to int64 here
+        assert normalized_m_stats(ContinuousPath(av), 2**56 - 1)[2] == bounce
+
 
 @pytest.mark.parametrize("m", [0, -1])
 def test_normalized_m_stats_rejects_m_below_1(m):

@@ -216,7 +216,7 @@ class TestBlockKernels:
             for d in range(-3 * m - 3, 3 * m + 4):
                 assert max(0, 2 * m + 1 - abs(2 * d - 1)) // 2 == sc_m(d, m)
 
-    @pytest.mark.parametrize("n,m", [(5, 3), (6, 2), (3, 30)])
+    @pytest.mark.parametrize("n,m", [(5, 3), (6, 2), (3, 30), (8, 2), (4, 20)])
     def test_whole_blocks(self, n, m):
         # rows of one block sit at different depths of the bounce walk
         for block in discrete._area_vector_blocks(n, m):
