@@ -185,10 +185,8 @@ def _verify_checks(level: str):
                 for p in paths:
                     q = discrete.phi_m(p)
                     images.add(q.area_vector)
-                    if discrete.dinv_m(p) != discrete.area_m(q):
-                        transport_ok = False
-                    if discrete.area_m(p) != discrete.bounce_m(q):
-                        transport_ok = False
+                    transport_ok &= (discrete.dinv_m(p) == discrete.area_m(q)
+                                     and discrete.area_m(p) == discrete.bounce_m(q))
                 yield f"count-n{n}-m{m}", count_ok
                 yield f"phi-transport-n{n}-m{m}", transport_ok
                 yield f"phi-bijective-n{n}-m{m}", len(images) == len(paths)
@@ -199,8 +197,7 @@ def _verify_checks(level: str):
             ok = True
             for _ in range(50):
                 bv = _random_generic_bounce_vector(n, rng)
-                if continuous.jacobian_count(bv) != continuous.sort_preimage_count(bv):
-                    ok = False
+                ok &= continuous.jacobian_count(bv) == continuous.sort_preimage_count(bv)
             yield f"jacobian-oracle-n{n}", ok
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .discrete import (InvalidPathError, MDyckPath, _bounce_block, _check_size, _dinv_vector,
-                       _validate_area_vector)
+                       _show, _validate_area_vector)
 
 __all__ = [
     "ContinuousPath",
@@ -83,14 +83,11 @@ class BounceVector:
         if not bv:
             raise ValueError("bounce vector must be nonempty")
         if bv[0] != 0:
-            raise ValueError(f"b_0 = {bv[0]}, must be 0")
+            raise ValueError(f"b_0 = {_show(bv[0])}, must be 0")
         for i in range(len(bv) - 1):
-            if bv[i + 1] < bv[i]:
-                raise ValueError(f"b_{i + 1} = {bv[i + 1]} < b_{i} = {bv[i]}")
-            if bv[i + 1] > bv[i] + 1:
-                raise ValueError(
-                    f"b_{i + 1} <= b_{i} + 1 violated: {bv[i + 1]} > {bv[i]} + 1"
-                )
+            if not bv[i] <= bv[i + 1] <= bv[i] + 1:
+                raise ValueError(f"b_{i} <= b_{i + 1} <= b_{i} + 1 violated: "
+                                 f"b_{i + 1} = {_show(bv[i + 1])}, b_{i} = {_show(bv[i])}")
         object.__setattr__(self, "b", bv)
 
 
@@ -187,11 +184,11 @@ def _check_generic(bv: BounceVector) -> None:
     b = bv.b
     tail = b[1:]
     if len(set(tail)) != len(tail) or any(x == 0 for x in tail):
-        raise DegenerateInputError(f"coordinates of {b} are not distinct and nonzero")
+        raise DegenerateInputError("b_1, ..., b_{n-1} are not distinct and nonzero")
     for j in range(len(b)):
         for i in range(j):
             if b[j] - b[i] == 1:
-                raise DegenerateInputError(f"b_{j} - b_{i} = 1 in {b}")
+                raise DegenerateInputError(f"b_{j} - b_{i} = 1")
 
 
 def jacobian_count(bv: BounceVector) -> int:
@@ -238,7 +235,7 @@ def to_m_dyck(p: ContinuousPath, m: int) -> MDyckPath:
     for i, a in enumerate(p.area_vector):
         v = a * m
         if v.denominator != 1:
-            raise InvalidPathError(f"a_{i} = {a} is not a multiple of 1/{m}")
+            raise InvalidPathError(f"a_{i} = {_show(a)} is not a multiple of 1/{_show(m)}")
         scaled.append(int(v))
     return MDyckPath(n=p.n, m=m, area_vector=tuple(scaled))
 

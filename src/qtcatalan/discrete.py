@@ -72,17 +72,24 @@ class BouncePathM:
     h: tuple[int, ...]
 
 
+def _show(x: object) -> str:
+    """x for an error message, or only its size past 64 bits: Python will not
+    format an integer of more than 4300 digits, and a message stays short."""
+    bits = max(abs(getattr(x, "numerator", 0)), getattr(x, "denominator", 1)).bit_length()
+    return str(x) if bits <= 64 else f"<a {bits}-bit number>"
+
+
 def _validate_area_vector(n: int, m: int, av: Sequence[int]) -> None:
     _check_size(n, m)
     if len(av) != n:
-        raise InvalidPathError(f"area vector has length {len(av)}, expected {n}")
+        raise InvalidPathError(f"area vector has length {len(av)}, expected {_show(n)}")
     if av[0] != 0:
-        raise InvalidPathError(f"a_0 = {av[0]}, must be 0")
+        raise InvalidPathError(f"a_0 = {_show(av[0])}, must be 0")
     for i in range(n - 1):
         if not 0 <= av[i + 1] <= av[i] + m:
             raise InvalidPathError(
-                f"0 <= a_{i + 1} <= a_{i} + m violated: a_{i + 1} = {av[i + 1]}, "
-                f"a_{i} = {av[i]}, m = {m}"
+                f"0 <= a_{i + 1} <= a_{i} + m violated: a_{i + 1} = {_show(av[i + 1])}, "
+                f"a_{i} = {_show(av[i])}, m = {_show(m)}"
             )
 
 
@@ -99,8 +106,8 @@ def _check_size(n: int, m: int, budget: int | None = None) -> int | None:
     ``budget`` paths (BudgetExceededError); return the path count if it was
     counted.  As C^(m)_n >= C_n >= 2^(n-1), n - 1 > budget.bit_length() is
     refused without counting.  Every enumeration passes through here before
-    doing any work.  Messages name the bound, never n or m, which may have
-    more digits than Python will format."""
+    doing any work.  Messages never format n or m, and show the budget with
+    _show, as any of them may have more digits than Python will format."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if budget is None:
@@ -111,7 +118,7 @@ def _check_size(n: int, m: int, budget: int | None = None) -> int | None:
         total = catalan_number_m(n, m)
         if total <= budget:
             return total
-    raise BudgetExceededError(f"path budget exceeded: C^(m)_n has more than {budget} paths")
+    raise BudgetExceededError(f"path budget exceeded: C^(m)_n has more than {_show(budget)} paths")
 
 
 def enumerate_m_dyck(n: int, m: int, budget: int | None = None) -> Iterator[MDyckPath]:

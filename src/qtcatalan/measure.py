@@ -154,33 +154,29 @@ def batch_dinv(points: np.ndarray) -> np.ndarray:
 
 
 def batch_bounce_vector(points: np.ndarray) -> np.ndarray:
-    """Vectorized bounce vector (float), by inverting the identity
+    """Bounce vectors of rows of area coordinates, one pickup time per north
+    step: the float twin of discrete._bounce_block.
 
-        a_j = sum_{i<j} sc(b_j - b_i) = sum_{i<j} max(1 + b_i - b_j, 0)
-
-    that area_vector_from_bounce and batch_transform_T evaluate.  The right
-    side is nonincreasing and piecewise linear in b_j, so b_1, ..., b_{n-1}
-    are solved in turn.  On the piece where the last k earlier coordinates
-    contribute, the root is (sum_{i >= j-k} (1 + b_i) - a_j) / k, valid when
-    b_{j-k-1} + 1 <= root <= b_{j-k} + 1.  Taking the smallest valid root
-    matches the north-step-first tie rule of continuous.bounce_vector.
+    The bounce path moves east at the number of north steps taken in the
+    trailing unit of time, so at time t >= b_{j-1} it stands at
+    sum_{i<j} min(t - b_i, 1), the least of the lines (j - k) + sum_{i>=j-k} (t - b_i)
+    for k = 0, ..., j.  It first reaches x_j = j - a_j at their largest root,
+    b_j = max_{k>=1} (sum_{i>=j-k} (1 + b_i) - a_j) / k: the north-step-first
+    tie rule of continuous.bounce_vector.  The line k = 0 stands at j, so x_j is
+    reached only if a_j >= 0; negative, NaN and infinite coordinates are refused.
     """
     points = np.asarray(points, dtype=float)
+    if not ((points >= 0) & (points < np.inf)).all():
+        raise ValueError("area coordinates must be finite and nonnegative; input is outside A_n")
     count, n = points.shape
     b = np.zeros((count, n))
     for j in range(1, n):
-        root = np.full(count, np.inf)
-        window = np.zeros(count)
-        for k in range(1, j + 1):
+        window = 1.0 + b[:, j - 1]  # sum_{i >= j-k} (1 + b_i), k = 1, 2, ...
+        best = window - points[:, j]
+        for k in range(2, j + 1):
             window += 1.0 + b[:, j - k]
-            cand = (window - points[:, j]) / k
-            ok = cand <= b[:, j - k] + (1.0 + 1e-12)
-            if k < j:
-                ok &= cand >= b[:, j - k - 1] + (1.0 - 1e-12)
-            root = np.where(ok, np.minimum(root, cand), root)
-        if not np.isfinite(root).all():
-            raise ValueError("no bounce vector solves the area identity; input is outside A_n")
-        b[:, j] = root
+            np.maximum(best, (window - points[:, j]) / k, out=best)
+        b[:, j] = best
     return b
 
 
@@ -447,15 +443,14 @@ def measure_preservation_check(
     edges = [np.linspace(0.0, float(i), resolution + 1) for i in range(1, n)]
     c_direct, _ = np.histogramdd(direct.points[:, 1:], bins=edges)
     c_trans, _ = np.histogramdd(transported[:, 1:], bins=edges)
-    occupied = (c_direct + c_trans) > 0
+    pooled = c_direct + c_trans
+    occupied = pooled > 0
     z = np.zeros_like(c_direct)
-    z[occupied] = (c_direct[occupied] - c_trans[occupied]) / np.sqrt(
-        c_direct[occupied] + c_trans[occupied]
-    )
+    z[occupied] = (c_direct - c_trans)[occupied] / np.sqrt(pooled[occupied])
     vol = polytope_volume(n)
     weight = float(vol) / count
     aggregate_l1 = float(np.abs(c_direct - c_trans).sum()) * weight
-    mean, var = _null_l1_moments(c_direct + c_trans)
+    mean, var = _null_l1_moments(pooled)
     l1_budget = (mean + 5.0 * math.sqrt(var)) * weight
     return {
         "n": n,

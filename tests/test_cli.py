@@ -535,6 +535,22 @@ class TestByteIdentity:
             "17b87ac848f1b7c6c82ad4777f8aad1633115061aeaccf820cbad816b232d00d"
         )
 
+    def test_measure_n6_area_bounce(self, capsys, tmp_path):
+        # n = 6 reaches the bounce pieces k >= 4 that n <= 4 never does
+        dest = tmp_path / "h.csv"
+        code, out, _ = run(
+            ["measure", "--n", "6", "--map", "area-bounce", "--samples", "20000",
+             "--seed", "11", "--grid", "15x15", "--out", str(dest)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "f4bfe91d168d3fa58bbf16a49bde85b0c977b68fef964231bf90d70526fd7ed2"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "afbd1396e69866dcce6518e6f2a9e95805e86c355debcd0cd282e3c085902e34"
+        )
+
     def test_measure_n8_csv_and_summary(self, capsys, tmp_path):
         # n = 8: about one proposal in a hundred is accepted
         dest = tmp_path / "h.csv"

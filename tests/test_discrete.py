@@ -1,11 +1,14 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qtcatalan import discrete
+from qtcatalan.continuous import (BounceVector, ContinuousPath, DegenerateInputError,
+                                  jacobian_count, to_m_dyck)
 from qtcatalan.discrete import (
     BudgetExceededError,
     InvalidPathError,
@@ -63,6 +66,36 @@ class TestValidation:
     def test_length_must_match_height(self):
         with pytest.raises(InvalidPathError, match="area vector has length 2, expected 3"):
             MDyckPath(n=3, m=1, area_vector=(0, 1))
+
+    @pytest.mark.parametrize(
+        "make, exc, match",
+        [
+            pytest.param(lambda big: next(enumerate_m_dyck(20000, 1, budget=big)),
+                         BudgetExceededError, "more than <a 16610-bit number> paths", id="budget"),
+            pytest.param(lambda big: MDyckPath(n=big, m=1, area_vector=(0, 0)),
+                         InvalidPathError, "expected <a 16610-bit number>", id="n"),
+            pytest.param(lambda big: MDyckPath(n=2, m=big, area_vector=(0, -1)),
+                         InvalidPathError, "m = <a 16610-bit number>", id="m"),
+            pytest.param(lambda big: MDyckPath(n=2, m=1, area_vector=(big, 0)),
+                         InvalidPathError, "a_0 = <a 16610-bit number>", id="a_0"),
+            pytest.param(lambda big: MDyckPath(n=2, m=1, area_vector=(0, big)),
+                         InvalidPathError, "a_1 = <a 16610-bit number>", id="a_1"),
+            pytest.param(lambda big: ContinuousPath([0, Fraction(-1, big)]),
+                         InvalidPathError, "a_1 = <a 16610-bit number>", id="fraction"),
+            pytest.param(lambda big: to_m_dyck(ContinuousPath([0, Fraction(1, big)]), 2),
+                         InvalidPathError, "not a multiple", id="to_m_dyck"),
+            pytest.param(lambda big: BounceVector([Fraction(1, big)]),
+                         ValueError, "b_0 = <a 16610-bit number>", id="b_0"),
+            pytest.param(lambda big: BounceVector([0, Fraction(1, big), 0]),
+                         ValueError, "b_2 = 0, b_1 = <a 16610-bit number>", id="b_1"),
+            pytest.param(lambda big: jacobian_count(BounceVector([0] + [Fraction(1, big)] * 2)),
+                         DegenerateInputError, "not distinct", id="degenerate"),
+        ],
+    )
+    def test_huge_values_keep_the_typed_error(self, make, exc, match):
+        # Python refuses to format integers past 4300 digits; no message may try
+        with pytest.raises(exc, match=match):
+            make(10**5000)
 
 
 class TestEnumeration:

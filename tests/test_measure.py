@@ -330,7 +330,7 @@ class TestBatchKernels:
     @example(ContinuousPath([0, 0, 0, 0]))
     @example(ContinuousPath([0, 1, 1, 1]))
     @example(area_vector_from_bounce(BounceVector([0, F(1, 2), 1, F(3, 2)])))
-    # without the 1e-12 tolerance, rounding leaves this one with no valid root
+    # a tie: three lines reach x_4 together at b_4 = 4/3, and their rounded roots differ
     @example(area_vector_from_bounce(BounceVector([0, F(1, 3), F(1, 3), F(2, 3), F(4, 3)])))
     @settings(deadline=None, max_examples=300)
     def test_bounce_vector_matches_exact_on_ties(self, p):
@@ -342,8 +342,9 @@ class TestBatchKernels:
         assert np.allclose(batch_transform_T(pts)[0], exact_t, rtol=0.0, atol=1e-9)
 
     def test_bounce_vector_rejects_points_outside_polytope(self):
-        with pytest.raises(ValueError):
-            batch_bounce_vector(np.array([[0.0, 0.5, -0.25]]))
+        for row in ([0.0, 0.5, -0.25], [0.0, np.nan, 0.5], [0.0, 0.5, np.inf]):
+            with pytest.raises(ValueError, match="outside A_n"):
+                batch_bounce_vector(np.array([[0.0, 0.5, 1.0], row]))
 
     def test_transport_in_batch(self):
         pts = self._random_batch(6, 5000, seed=13)
