@@ -46,6 +46,7 @@ __all__ = [
 MapChoice = Literal["dinv-area", "area-bounce"]
 
 _BLOCK_ROWS = 1 << 14  # proposals per rejection round
+_KERNEL_ROWS = 1 << 12  # points per block of the float kernels (fits in cache)
 _MAX_PROPOSALS = 10**10  # expected proposals allowed per sample_area_polytope call
 _MAX_COORDINATES = 5 * 10**7  # count * n allowed per sample_area_polytope call (memory)
 
@@ -163,11 +164,17 @@ def batch_bounce_vector(points: np.ndarray) -> np.ndarray:
     for k = 0, ..., j.  It first reaches x_j = j - a_j at their largest root,
     b_j = max_{k>=1} (sum_{i>=j-k} (1 + b_i) - a_j) / k: the north-step-first
     tie rule of continuous.bounce_vector.  The line k = 0 stands at j, so x_j is
-    reached only if a_j >= 0; negative, NaN and infinite coordinates are refused.
+    reached only if a_j >= 0; negative, NaN and infinite coordinates are refused,
+    and so is a row with a_{i+1} > a_i + 1, whose vector would fall outside B_n.
+    A row that _accept_mask refuses may still rise one float above 1, as the
+    nearest floats to a row of A_n can: float(5/3) > float(2/3) + 1.
     """
     points = np.asarray(points, dtype=float)
-    if not ((points >= 0) & (points < np.inf)).all():
-        raise ValueError("area coordinates must be finite and nonnegative; input is outside A_n")
+    steep = points[~_accept_mask(points)]
+    if not (((points >= 0) & (points < np.inf)).all()
+            and (np.nextafter(steep[:, 1:], 0.0) <= steep[:, :-1] + 1.0).all()):
+        raise ValueError("area coordinates must be finite, nonnegative and rise by at most 1;"
+                         " input is outside A_n")
     count, n = points.shape
     b = np.zeros((count, n))
     for j in range(1, n):
@@ -246,20 +253,28 @@ def pushforward_histogram(
     resolution: tuple[int, int] = (60, 60),
 ) -> Histogram2D:
     """Histogram the image of a sample batch on default_bounds(n); each sample
-    carries weight vol(A_n) / count so the total weight is the polytope volume."""
+    carries weight vol(A_n) / count so the total weight is the polytope volume.
+
+    One pass over blocks of _KERNEL_ROWS points: the batch kernels score each
+    block row by row, and _add_counts adds it to one int64 count per cell.  The
+    cells, count * weight, are those of np.histogram2d on the whole statistic
+    arrays, bit for bit: half-open, with the last one closed.
+    """
     _check_grid(resolution)
-    if map_choice == "dinv-area":
-        xs = batch_dinv(batch.points)
-        ys = batch_area(batch.points)
-    elif map_choice == "area-bounce":
-        xs = batch_area(batch.points)
-        ys = batch_bounce(batch.points)
-    else:
+    if map_choice not in ("dinv-area", "area-bounce"):
         raise ValueError(f"unknown map choice {map_choice!r}")
     hi = float(default_bounds(batch.n)[1])
-    cells, _, _ = np.histogram2d(xs, ys, bins=resolution, range=[[0.0, hi], [0.0, hi]])
+    counts = np.zeros(resolution[0] * resolution[1], dtype=np.int64)
+    for lo in range(0, batch.count, _KERNEL_ROWS):
+        rows = batch.points[lo:lo + _KERNEL_ROWS]
+        # module globals, so that a wrapper installed there sees the calls
+        if map_choice == "dinv-area":
+            xs, ys = batch_dinv(rows), batch_area(rows)
+        else:
+            xs, ys = batch_area(rows), batch_bounce(rows)
+        _add_counts(counts, (xs, ys), (hi, hi), resolution)
     weight = float(polytope_volume(batch.n)) / batch.count
-    cells *= weight
+    cells = counts.reshape(resolution).astype(float) * weight
     return Histogram2D(n=batch.n, cells=cells, total_weight=weight * batch.count)
 
 
@@ -271,6 +286,31 @@ def _cell_index(num: np.ndarray, den: int, hi: int, cells: int) -> np.ndarray:
         raise ValueError("atom coordinates too large for int64 cell indices")
     inside = (num >= 0) & (num <= top)
     return np.where(inside, np.minimum(num * cells // top, cells - 1), -1)
+
+
+def _float_cell_index(v: np.ndarray, hi: float, cells: int) -> np.ndarray:
+    """Cell of each float v on [0, hi] cut at np.linspace(0, hi, cells + 1),
+    half-open except the last; -1 outside and for NaN.
+
+    The guess floor(v * cells / hi) is at most one cell off the edge search
+    np.searchsorted(edges, v, "right") - 1 that np.histogramdd makes, and one
+    step each way against the edges makes it equal; v == hi joins the last cell.
+    """
+    edges = np.linspace(0.0, hi, cells + 1)
+    i = np.minimum(np.fmax(np.floor(v * (cells / hi)), 0.0), cells - 1).astype(np.intp)
+    i -= v < edges[i]
+    i += v >= edges[i + 1]
+    return np.where((v >= 0.0) & (v <= hi), np.minimum(i, cells - 1), -1)
+
+
+def _add_counts(counts: np.ndarray, columns, his, cells) -> None:
+    """Add one to the flat C-order cell of each row whose every coordinate
+    (columns[d], on [0, his[d]] cut into cells[d]) is inside its range."""
+    flat, keep = 0, True
+    for v, hi, k in zip(columns, his, cells):
+        i = _float_cell_index(v, hi, k)
+        flat, keep = flat * k + i, keep & (i >= 0)
+    np.add.at(counts, flat[keep], 1)
 
 
 def bin_discrete_measure(
@@ -422,8 +462,9 @@ def measure_preservation_check(
     transform.
 
     Two independent substreams are drawn from the seed; one batch is pushed
-    through the transform, and both are histogrammed over the bounding box of
-    the polytope in area coordinates.  Per-cell z-scores use the two-sample
+    through the transform in blocks of _KERNEL_ROWS points, and both are
+    counted by _add_counts on the bounding box of the polytope in the free
+    area coordinates.  Per-cell z-scores use the two-sample
     binomial noise floor sqrt(c1 + c2).  The L1 budget is the null mean of
     the aggregate L1 plus five null standard deviations (_null_l1_moments).
     Raises BudgetExceededError, before drawing, when a histogram would hold
@@ -438,14 +479,16 @@ def measure_preservation_check(
     rng_direct, rng_transported = (np.random.default_rng(s) for s in seq.spawn(2))
     direct = sample_area_polytope(n, count, rng_direct)
     source = sample_area_polytope(n, count, rng_transported)
-    transported = batch_transform_T(source.points)
-
-    edges = [np.linspace(0.0, float(i), resolution + 1) for i in range(1, n)]
-    c_direct, _ = np.histogramdd(direct.points[:, 1:], bins=edges)
-    c_trans, _ = np.histogramdd(transported[:, 1:], bins=edges)
+    his, cells = [float(i) for i in range(1, n)], (resolution,) * (n - 1)
+    c_direct = np.zeros(resolution ** (n - 1), dtype=np.int64)
+    c_trans = np.zeros_like(c_direct)
+    for lo in range(0, count, _KERNEL_ROWS):
+        rows = slice(lo, lo + _KERNEL_ROWS)
+        _add_counts(c_direct, direct.points[rows, 1:].T, his, cells)
+        _add_counts(c_trans, batch_transform_T(source.points[rows])[:, 1:].T, his, cells)
     pooled = c_direct + c_trans
     occupied = pooled > 0
-    z = np.zeros_like(c_direct)
+    z = np.zeros(pooled.shape)
     z[occupied] = (c_direct - c_trans)[occupied] / np.sqrt(pooled[occupied])
     vol = polytope_volume(n)
     weight = float(vol) / count
@@ -472,7 +515,7 @@ def _null_l1_moments(pooled: np.ndarray) -> tuple[float, float]:
     one law: with h = ceil(s/2), E|c1 - c2| = 2h C(s, h) / 2^s exactly, and
     the variance is s - E^2."""
     mean = var = 0.0
-    values, cells = np.unique(pooled.astype(np.int64), return_counts=True)
+    values, cells = np.unique(pooled, return_counts=True)
     for s, k in zip(values.tolist(), cells.tolist()):
         if s == 0:
             continue

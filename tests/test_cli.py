@@ -578,3 +578,31 @@ class TestByteIdentity:
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
             "a98c3e85384c6a33929438e68fd52143be32bd21d97fc915b2db31ad8236e051"
         )
+
+    def test_measure_dinv_area_partial_last_block(self, capsys, tmp_path):
+        # 50001 points: twelve whole 4096-row kernel blocks and a partial one
+        dest = tmp_path / "h.csv"
+        code, out, _ = run(
+            ["measure", "--n", "5", "--map", "dinv-area", "--samples", "50001", "--seed", "4",
+             "--grid", "7x7", "--out", str(dest)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "51523bfa7d59be9660e18320b2ccc98d58fe05afb1dcf7fb52397ec716775dbd"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f4ba488ccebc9a21c9269034fc38358b2bbb3dfecd689ad777b8f6344fde5411"
+        )
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            ("4", "271e47c2da00b45b252f868e754a92131ae7f903e2a600fa9bb06dc37514d434"),
+            ("6", "5442eac59d439aa8d2e7b0175f64638d19d5aaa6af63ec7487bf01533e641d59"),
+        ],
+    )
+    def test_preserve_json(self, capsys, n, digest):
+        code, out, _ = run(["preserve", "--n", n, "--samples", "100000", "--seed", "2"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -198,6 +198,38 @@ def box_proposals(draw):
     return np.array(rows, dtype=float).reshape(len(rows), n - 1)
 
 
+@st.composite
+def float_bin_inputs(draw):
+    """A height n (support [0, hi], hi = n(n-1)/2), a grid size k and
+    coordinates that are mostly cell edges, their float neighbours on both
+    sides, 0, hi, values outside [0, hi] and NaN."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 1000))
+    hi = n * (n - 1) / 2
+    edges = np.linspace(0.0, hi, k + 1)
+    edge = st.integers(0, k).map(lambda i: float(edges[i]))
+    value = st.one_of(
+        edge,
+        edge.map(lambda v: float(np.nextafter(v, -np.inf))),
+        edge.map(lambda v: float(np.nextafter(v, np.inf))),
+        st.sampled_from([0.0, hi, -0.0, -1.0, hi + 1.0, np.nan, np.inf, -np.inf]),
+        st.floats(-1.0, hi + 1.0),
+    )
+    xs, ys = (draw(st.lists(value, min_size=1, max_size=60)) for _ in "xy")
+    size = min(len(xs), len(ys))
+    return hi, k, np.array(xs[:size]), np.array(ys[:size])
+
+
+def _rows_of_polytope(n, count, seed):
+    """Rows (0, a_1, ..., a_{n-1}) with 0 <= a_{i+1} <= a_i + 1, half of them on
+    the quarter lattice, where ties between coordinates and pickups are frequent."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((count, n))
+    for i in range(1, n):
+        rows[:, i] = rng.random(count) * (rows[:, i - 1] + 1.0)
+    rows[::2] = np.floor(rows[::2] * 4.0) / 4.0
+    return rows
+
+
 class TestVolume:
     def test_small_values(self):
         assert polytope_volume(1) == 1
@@ -346,6 +378,33 @@ class TestBatchKernels:
             with pytest.raises(ValueError, match="outside A_n"):
                 batch_bounce_vector(np.array([[0.0, 0.5, 1.0], row]))
 
+    def test_bounce_vector_rejects_a_rise_above_one(self):
+        # a_2 > a_1 + 1: the kernel would return the decreasing vector (0, 0.8, 0.65)
+        with pytest.raises(ValueError, match="outside A_n"):
+            batch_bounce_vector(np.array([[0.0, 0.5, 1.0], [0.0, 0.2, 1.5]]))
+
+    def test_bounce_vector_allows_one_float_of_rounding(self):
+        # float(5/3) > float(2/3) + 1, though 5/3 = 2/3 + 1: the nearest floats
+        # to a row of A_n pass, and a rise two floats above 1 does not
+        low = float(F(2, 3))
+        top = low + 1.0
+        assert float(F(5, 3)) == np.nextafter(top, np.inf)
+        up_two = np.nextafter(np.nextafter(top, np.inf), np.inf)
+        batch_bounce_vector(np.array([[0.0, low, float(F(5, 3))], [0.0, 1.0, 2.0]]))
+        with pytest.raises(ValueError, match="outside A_n"):
+            batch_bounce_vector(np.array([[0.0, low, up_two]]))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_kernels_are_block_invariant(self, n):
+        # the histogram and the preservation check score _KERNEL_ROWS rows at
+        # a time; every kernel must give each row the same bits either way
+        rows = _rows_of_polytope(n, 2 * measure._KERNEL_ROWS + 123, seed=n)
+        for kernel in (batch_area, batch_dinv, batch_bounce, batch_bounce_vector, batch_transform_T):
+            whole = kernel(rows)
+            blocks = np.concatenate([kernel(rows[lo:lo + measure._KERNEL_ROWS])
+                                     for lo in range(0, rows.shape[0], measure._KERNEL_ROWS)])
+            assert blocks.tobytes() == whole.tobytes(), kernel.__name__
+
     def test_transport_in_batch(self):
         pts = self._random_batch(6, 5000, seed=13)
         img = batch_transform_T(pts)
@@ -364,6 +423,36 @@ class TestHistogram:
         b = sample_area_polytope(3, 100, seed=5)
         with pytest.raises(ValueError):
             pushforward_histogram(b, "area-dinv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_bin_inputs())
+    @example((6.0, 60, np.array([0.1 * 3, 6.0, np.nextafter(6.0, 7.0), -0.0]),
+              np.array([0.3, 0.3, 0.3, 0.0])))
+    def test_float_cells_match_histogram2d(self, data):
+        hi, k, xs, ys = data
+        counts = np.zeros(k * k, dtype=np.int64)
+        measure._add_counts(counts, (xs, ys), (hi, hi), (k, k))
+        expected, _, _ = np.histogram2d(xs, ys, bins=(k, k), range=[[0.0, hi], [0.0, hi]])
+        assert np.array_equal(counts.reshape(k, k), expected)
+        edges = np.linspace(0.0, hi, k + 1)
+        i = measure._float_cell_index(xs, hi, k)
+        search = np.minimum(np.searchsorted(edges, xs, "right") - 1, k - 1)
+        assert np.array_equal(i, np.where((xs >= 0) & (xs <= hi), search, -1))
+
+    @pytest.mark.parametrize("n, count, grid", [(3, 9001, (1, 1)), (4, 12289, (60, 60)),
+                                                 (5, 8193, (7, 7)), (6, 4097, (13, 13))])
+    def test_pushforward_matches_whole_array_histogram2d(self, n, count, grid):
+        # whole kernels and one np.histogram2d, as the histogram was once made
+        batch = sample_area_polytope(n, count, seed=count)
+        hi = float(default_bounds(n)[1])
+        weight = float(polytope_volume(n)) / count
+        pts = batch.points
+        for map_choice, (xs, ys) in (("dinv-area", (batch_dinv(pts), batch_area(pts))),
+                                     ("area-bounce", (batch_area(pts), batch_bounce(pts)))):
+            cells, _, _ = np.histogram2d(xs, ys, bins=grid, range=[[0.0, hi], [0.0, hi]])
+            h = pushforward_histogram(batch, map_choice, grid)
+            assert h.cells.tobytes() == (cells * weight).tobytes()
+            assert h.total_weight == weight * count
 
     def test_bin_discrete_boundary_inclusion(self):
         # atom exactly on the upper corner must land in the last (closed) cell
