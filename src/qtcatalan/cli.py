@@ -96,7 +96,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "area": str(continuous.area(path)),
         "dinv": str(continuous.dinv(path)),
         "bounce_vector": [str(b) for b in bv.b],
-        "bounce": str(continuous.bounce(path)),
+        "bounce": str(sum(bv.b, start=Fraction(0))),
         "T_area_vector": [str(a) for a in image.area_vector],
         "T_area": str(continuous.area(image)),
         "T_bounce": str(continuous.bounce(image)),

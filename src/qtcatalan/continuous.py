@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Sequence
 
 import numpy as np
@@ -113,39 +113,33 @@ def dinv(p: ContinuousPath) -> Fraction:
 def bounce_vector(p: ContinuousPath) -> BounceVector:
     """Times of the north steps of the bounce parametrization of p.
 
-    Event-driven simulation: the parametrization moves east at a speed equal
-    to the number of north steps taken in the trailing unit of time, so the
-    speed is piecewise constant between events.  Events are "reach the next
-    north-step position x_j" (the step is taken instantly, recording b_j and
-    raising the speed) and "a step taken at time b_i leaves the trailing
-    window at b_i + 1" (lowering the speed).  Ties are resolved by taking the
-    north step first, which pins the boundary case b_{i+1} = b_i + 1.
+    The parametrization moves east at a speed equal to the number of north
+    steps taken in the trailing unit of time, and takes the j-th north step
+    when it first stands at x_j = j - a_j.  With b_0, ..., b_{j-1} taken, the
+    step taken at b_i has carried it min(t - b_i, 1) by time t, so it stands at
+
+        R(t) = sum_{i<j} min(t - b_i, 1) = min_{k=0..j} (j - k) + sum_{i>=j-k} (t - b_i):
+
+    b is nondecreasing, so the terms at 1 are a prefix i < j - k, and every
+    other split gives a line lying no lower.  R(t) >= x_j exactly when every
+    line is, and the line k >= 1 (slope k) reaches x_j at its root
+    (sum_{i>=j-k} (1 + b_i) - a_j) / k, while the line k = 0 stands at
+    j >= x_j.  So b_j, the first time with R(t) >= x_j, is the largest root:
+
+        b_j = max_{k=1..j} (sum_{i>=j-k} (1 + b_i) - a_j) / k.
+
+    It is never below b_{j-1}: R rises strictly before b_{j-1} + 1 (the step
+    j - 1 still moves it) and R(b_{j-1}) = x_{j-1} <= x_j.  It is never above
+    b_{j-1} + 1, where R = j, so the walk cannot stall.  The inequality is
+    closed, so a step reached exactly when an older step leaves the window
+    (t = b_i + 1, where two lines cross) is taken at that instant: the
+    north-step-first tie rule, which pins the boundary b_j = b_i + 1 of B_n.
     """
-    targets = p.north_step_positions()
-    n = p.n
-    b: list[Fraction] = []
-    t = Fraction(0)
-    r = Fraction(0)
-    expired = 0
-    while len(b) < n:
-        j = len(b)
-        if r == targets[j]:
-            b.append(t)
-            continue
-        speed = j - expired
-        if speed == 0:
-            raise ValueError(
-                "bounce parametrization stalled; input violates A_n invariants"
-            )
-        t_target = t + (targets[j] - r) / speed
-        t_expiry = b[expired] + 1
-        if t_expiry < t_target:
-            r += speed * (t_expiry - t)
-            t = t_expiry
-            expired += 1
-        else:
-            r = targets[j]
-            t = t_target
+    av = p.area_vector
+    b = [Fraction(0)]
+    for j in range(1, p.n):
+        windows = accumulate(1 + bi for bi in reversed(b))  # sum_{i>=j-k} (1 + b_i), k = 1..j
+        b.append(max((w - av[j]) / k for k, w in enumerate(windows, 1)))
     return BounceVector(b)
 
 

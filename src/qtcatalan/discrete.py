@@ -231,16 +231,16 @@ def _bounce_block(block: np.ndarray, m: int) -> np.ndarray:
     """bounce of every row of an int64 block of valid area vectors: the walk
     of _bounce_runs, one pickup run per north step.
 
-    The north-step columns c_i = m * i - a_i are nondecreasing, as
-    a_{i+1} <= a_i + m.  Let k_i be the run that picks up step i (the first
-    run whose position reaches c_i); then bounce = sum_i k_i.  For
-    k >= k_{i-1}, run k stands at r_k = sum_{j<i} min(k - k_j, m), the least
-    of the lines m * l + sum_{l<=j<i} (k - k_j) for l = 0, ..., i - 1, so
-    k_0 = 0 and k_i = max_l ceil((c_i - m * l + sum_{l<=j<i} k_j) / (i - l)).
-    That is never below k_{i-1}: if p is the first step with k_p = k_{i-1} > 0,
-    run k_{i-1} - 1 fell short of c_p <= c_i, and at that run every line
-    through l < p lies lower for i steps than for p.  Every intermediate is at
-    most about m * n^2, as sum_i k_i is the bounce.
+    This is the max-of-lines recurrence of continuous.bounce_vector in whole
+    runs.  Step i stands at column c_i = m * i - a_i (nondecreasing, as
+    a_{i+1} <= a_i + m), and the run k_i that picks it up is the ceiling of the
+    largest root: k_i = max_l ceil((c_i - m * l + sum_{l<=j<i} k_j) / (i - l))
+    over l = 0, ..., i - 1, with k_0 = 0 and bounce = sum_i k_i.  Runs are
+    whole, so a run may overshoot c_i; k_i is still never below k_{i-1}: if p
+    is the first step with k_p = k_{i-1} > 0, run k_{i-1} - 1 fell short of
+    c_p <= c_i, and at that run every line through l < p lies lower for i
+    steps than for p.  Every intermediate is at most about m * n^2, as
+    sum_i k_i is the bounce.
     """
     rows, n = block.shape
     cols = m * np.arange(n) - block

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Literal, Sequence
 
 import numpy as np
@@ -155,19 +156,13 @@ def batch_dinv(points: np.ndarray) -> np.ndarray:
 
 
 def batch_bounce_vector(points: np.ndarray) -> np.ndarray:
-    """Bounce vectors of rows of area coordinates, one pickup time per north
-    step: the float twin of discrete._bounce_block.
+    """Bounce vectors of rows of area coordinates: the max-of-lines recurrence
+    of continuous.bounce_vector in floats, the twin of discrete._bounce_block.
 
-    The bounce path moves east at the number of north steps taken in the
-    trailing unit of time, so at time t >= b_{j-1} it stands at
-    sum_{i<j} min(t - b_i, 1), the least of the lines (j - k) + sum_{i>=j-k} (t - b_i)
-    for k = 0, ..., j.  It first reaches x_j = j - a_j at their largest root,
-    b_j = max_{k>=1} (sum_{i>=j-k} (1 + b_i) - a_j) / k: the north-step-first
-    tie rule of continuous.bounce_vector.  The line k = 0 stands at j, so x_j is
-    reached only if a_j >= 0; negative, NaN and infinite coordinates are refused,
-    and so is a row with a_{i+1} > a_i + 1, whose vector would fall outside B_n.
-    A row that _accept_mask refuses may still rise one float above 1, as the
-    nearest floats to a row of A_n can: float(5/3) > float(2/3) + 1.
+    Negative, NaN and infinite coordinates are refused, and so is a row with
+    a_{i+1} > a_i + 1, whose vector would fall outside B_n.  A row that
+    _accept_mask refuses may still rise one float above 1, as the nearest
+    floats to a row of A_n can: float(5/3) > float(2/3) + 1.
     """
     points = np.asarray(points, dtype=float)
     steep = points[~_accept_mask(points)]
@@ -221,12 +216,11 @@ class Histogram2D:
     def to_csv(self) -> str:
         # plain Python floats: numpy >= 2 spells its scalars np.float64(...)
         hi = float(self.bounds[1])
-        xs, ys = (np.linspace(0.0, hi, k + 1).tolist() for k in self.resolution)
-        cells = self.cells.tolist()
+        xs, ys = ([f"{lo!r},{up!r}" for lo, up in pairwise(np.linspace(0.0, hi, k + 1).tolist())]
+                  for k in self.resolution)  # each cell's "lo,hi", formatted once per grid
         lines = ["x_lo,x_hi,y_lo,y_hi,weight"]
-        for i in range(self.resolution[0]):
-            for j in range(self.resolution[1]):
-                lines.append(f"{xs[i]!r},{xs[i + 1]!r},{ys[j]!r},{ys[j + 1]!r},{cells[i][j]!r}")
+        for x, row in zip(xs, self.cells.tolist()):
+            lines.extend(f"{x},{y},{w!r}" for y, w in zip(ys, row))
         return "\n".join(lines) + "\n"
 
     def transpose_deviation(self) -> float:

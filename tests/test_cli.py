@@ -606,3 +606,20 @@ class TestByteIdentity:
         code, out, _ = run(["preserve", "--n", n, "--samples", "100000", "--seed", "2"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["0,0.6,1.2,0.5", "--m", "10"],
+             "2e2f66f5519d0b16a2cb91a6888108d967547fd5555a703e58e0d55fc6156b5f"),
+            (["0,2/3,5/3,5/3,1/3"],
+             "bb24fd7dca014be60ffce38456069124f4e16db982ddc38d205a5d0c95cd0972"),
+            (["0,0,0,0,0"],
+             "6cd7b5d4c02486b82942e6eb170458a4fab6e2e3199af28b725fe30818e8c299"),
+        ],
+    )
+    def test_stats_json(self, capsys, argv, digest):
+        # exact bounce vectors with ties: 5/3 = 2/3 + 1 and a flat path
+        code, out, _ = run(["stats", *argv], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

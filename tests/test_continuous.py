@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qtcatalan.continuous import (
     BounceVector,
@@ -42,6 +42,70 @@ def bounce_vectors(draw, max_n=8, den=60):
     b = [F(0)]
     for _ in range(n - 1):
         b.append(b[-1] + F(draw(st.integers(0, den)), den))
+    return BounceVector(b)
+
+
+@st.composite
+def coarse_paths(draw, max_n=7):
+    """Paths on a coarse grid, where a_j = a_{j-1} + 1, a_j = 0 and equal
+    coordinates are frequent."""
+    n = draw(st.integers(2, max_n))
+    den = draw(st.integers(1, 4))
+    av = [F(0)]
+    for _ in range(n - 1):
+        av.append(F(draw(st.integers(0, int(av[-1] * den) + den)), den))
+    return ContinuousPath(av)
+
+
+@st.composite
+def unit_gap_paths(draw, max_n=7):
+    """Paths whose bounce vector has some b_j - b_i = 1."""
+    n = draw(st.integers(3, max_n))
+    den = draw(st.integers(1, 4))
+    b = [F(0)]
+    for _ in range(n - 1):
+        b.append(b[-1] + F(draw(st.integers(0, den)), den))
+    assume(any(y - x == 1 for i, x in enumerate(b) for y in b[i + 1 :]))
+    return area_vector_from_bounce(BounceVector(b))
+
+
+def event_bounce_vector(p: ContinuousPath) -> BounceVector:
+    """Times of the north steps of the bounce parametrization of p: the
+    independent oracle of the closed form bounce_vector and its float twin.
+
+    Event-driven simulation: the parametrization moves east at a speed equal
+    to the number of north steps taken in the trailing unit of time, so the
+    speed is piecewise constant between events.  Events are "reach the next
+    north-step position x_j" (the step is taken instantly, recording b_j and
+    raising the speed) and "a step taken at time b_i leaves the trailing
+    window at b_i + 1" (lowering the speed).  Ties are resolved by taking the
+    north step first, which pins the boundary case b_{i+1} = b_i + 1.
+    """
+    targets = p.north_step_positions()
+    n = p.n
+    b: list[F] = []
+    t = F(0)
+    r = F(0)
+    expired = 0
+    while len(b) < n:
+        j = len(b)
+        if r == targets[j]:
+            b.append(t)
+            continue
+        speed = j - expired
+        if speed == 0:
+            raise ValueError(
+                "bounce parametrization stalled; input violates A_n invariants"
+            )
+        t_target = t + (targets[j] - r) / speed
+        t_expiry = b[expired] + 1
+        if t_expiry < t_target:
+            r += speed * (t_expiry - t)
+            t = t_expiry
+            expired += 1
+        else:
+            r = targets[j]
+            t = t_target
     return BounceVector(b)
 
 
@@ -126,6 +190,20 @@ class TestBounceVector:
     @settings(deadline=None)
     def test_round_trip_random(self, b):
         assert bounce_vector(area_vector_from_bounce(b)).b == b.b
+
+    @given(st.one_of(continuous_paths(), coarse_paths(), unit_gap_paths(),
+                     bounce_vectors().map(area_vector_from_bounce)))
+    @settings(deadline=None, max_examples=300)
+    def test_closed_form_matches_event_oracle(self, p):
+        assert bounce_vector(p) == event_bounce_vector(p)
+
+    def test_closed_form_matches_event_oracle_on_m_dyck_paths(self):
+        # lattice points with many ties: steps reached exactly as older ones expire
+        for n in range(1, 7):
+            for m in range(1, 4):
+                for p in enumerate_m_dyck(n, m):
+                    c = from_m_dyck(p)
+                    assert bounce_vector(c) == event_bounce_vector(c)
 
 
 class TestAreaVectorFromBounce:

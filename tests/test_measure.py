@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtcatalan import limit, measure, qtpoly
 from qtcatalan.continuous import (
@@ -35,6 +35,7 @@ from qtcatalan.measure import (
     sample_area_polytope,
 )
 from qtcatalan.qtpoly import DiscreteMeasure, qt_catalan_dinv_area, to_normalized_measure
+from test_continuous import coarse_paths, event_bounce_vector, unit_gap_paths
 
 
 def _measure(*rows, den=1, weight_den=1):
@@ -138,30 +139,6 @@ def _cell_integrals_by_clipping(resolution):
     for (i, j), val in exact.items():
         cells[i, j] = float(val)
     return cells, float(sum(exact.values()))
-
-
-@st.composite
-def coarse_paths(draw, max_n=7):
-    """Paths on a coarse grid, where a_j = a_{j-1} + 1, a_j = 0 and equal
-    coordinates are frequent."""
-    n = draw(st.integers(2, max_n))
-    den = draw(st.integers(1, 4))
-    av = [F(0)]
-    for _ in range(n - 1):
-        av.append(F(draw(st.integers(0, int(av[-1] * den) + den)), den))
-    return ContinuousPath(av)
-
-
-@st.composite
-def unit_gap_paths(draw, max_n=7):
-    """Paths whose bounce vector has some b_j - b_i = 1."""
-    n = draw(st.integers(3, max_n))
-    den = draw(st.integers(1, 4))
-    b = [F(0)]
-    for _ in range(n - 1):
-        b.append(b[-1] + F(draw(st.integers(0, den)), den))
-    assume(any(y - x == 1 for i, x in enumerate(b) for y in b[i + 1 :]))
-    return area_vector_from_bounce(BounceVector(b))
 
 
 def _sample_oracle(n, count, seed, rows):
@@ -367,8 +344,9 @@ class TestBatchKernels:
     @settings(deadline=None, max_examples=300)
     def test_bounce_vector_matches_exact_on_ties(self, p):
         pts = np.array([[float(a) for a in p.area_vector]])
-        exact = [float(b) for b in bounce_vector(p).b]
-        assert np.allclose(batch_bounce_vector(pts)[0], exact, rtol=0.0, atol=1e-9)
+        exact = bounce_vector(p)
+        assert exact == event_bounce_vector(p)  # so the float kernel meets an algorithm not its twin
+        assert np.allclose(batch_bounce_vector(pts)[0], [float(b) for b in exact.b], rtol=0.0, atol=1e-9)
         assert abs(batch_dinv(pts)[0] - float(dinv(p))) <= 1e-9
         exact_t = [float(a) for a in transform_T(p).area_vector]
         assert np.allclose(batch_transform_T(pts)[0], exact_t, rtol=0.0, atol=1e-9)
