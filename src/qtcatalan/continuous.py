@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -134,12 +134,18 @@ def bounce_vector(p: ContinuousPath) -> BounceVector:
     closed, so a step reached exactly when an older step leaves the window
     (t = b_i + 1, where two lines cross) is taken at that instant: the
     north-step-first tie rule, which pins the boundary b_j = b_i + 1 of B_n.
+
+    root_{k+1} = (k root_k + 1 + b_{j-k-1}) / (k + 1) is a weighted mean of root_k
+    and 1 + b_{j-k-1}, which does not rise with k, so the roots rise, then fall:
+    the largest is root_k at the first k with 1 + b_{j-k-1} <= root_k.
     """
     av = p.area_vector
     b = [Fraction(0)]
     for j in range(1, p.n):
-        windows = accumulate(1 + bi for bi in reversed(b))  # sum_{i>=j-k} (1 + b_i), k = 1..j
-        b.append(max((w - av[j]) / k for k, w in enumerate(windows, 1)))
+        root, k = 1 + b[-1] - av[j], 1  # the root of the line k = 1
+        while k < j and (c := 1 + b[j - k - 1]) > root:  # root_{k+1} > root_k
+            root, k = (k * root + c) / (k + 1), k + 1
+        b.append(root)
     return BounceVector(b)
 
 

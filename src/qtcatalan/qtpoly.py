@@ -25,7 +25,7 @@ __all__ = [
     "to_normalized_measure",
 ]
 
-_MAX_TERMS = 2**20  # most terms a polynomial may have (bounds the memory of its dict)
+_MAX_TERMS = 2**20  # most terms, and most table cells or path keys _count_pairs holds (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -71,68 +71,60 @@ class DiscreteMeasure:
         return Fraction(sum(self.atoms[:, 2].tolist()), self.weight_den)
 
 
-def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys with their summed counts, in int64."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(counts[order], starts)
-
-
 def _count_pairs(
     n: int,
     m: int,
+    budget: int | None,
     stats: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> QtPolynomial:
     """Sum of q^x t^y over all area vectors of (n, m), for (x, y) = stats(block).
 
-    Each block is counted by _merge.  The block counts wait in a list and
-    are merged into the running totals once they hold more entries than
-    the totals, so memory follows the number of distinct (x, y), never a
-    dense table of every possible pair.
+    _check_terms refuses first, and its answer picks the counter, so memory
+    stays within _MAX_TERMS int64s: one (D + 1)^2 table when it fits, or else
+    the key x (D + 1) + y of each of the at most _MAX_TERMS paths, counted
+    once by np.unique.
     """
-    width = m * n * n  # each statistic is below m * n^2
-    totals = (np.zeros(0, dtype=np.int64),) * 2
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    size = 0
-    for block in _area_vector_blocks(n, m):
-        x, y = stats(block)
-        pending.append(_merge(x * width + y, np.ones(len(block), dtype=np.int64)))
-        size += len(pending[-1][0])
-        if size > len(totals[0]):
-            totals = _merge(*(np.concatenate(parts) for parts in zip(totals, *pending)))
-            pending, size = [], 0
-    keys, counts = _merge(*(np.concatenate(parts) for parts in zip(totals, *pending)))
+    width = m * n * (n - 1) // 2 + 1  # every statistic lies in [0, D]
+    if _check_terms(n, m, budget):
+        table = np.zeros(width * width, dtype=np.int64)
+        for block in _area_vector_blocks(n, m):
+            x, y = stats(block)
+            np.add.at(table, x * width + y, 1)
+        keys = np.flatnonzero(table)
+        counts = table[keys]
+    else:
+        keys = np.concatenate([x * width + y for x, y in map(stats, _area_vector_blocks(n, m))])
+        keys, counts = np.unique(keys, return_counts=True)
     q, t = divmod(keys, width)
     return QtPolynomial(dict(zip(zip(q.tolist(), t.tolist()), counts.tolist())))
 
 
-def _check_terms(n: int, m: int, budget: int | None) -> None:
+def _check_terms(n: int, m: int, budget: int | None) -> bool:
     """_check_size, then refuse (BudgetExceededError) more than _MAX_TERMS terms:
     at most one per path, and at most (D + 1)^2, as every dinv, area and bounce
     lies in [0, D], D = m n (n - 1) / 2.  The paths are counted at most once,
-    and not when 2^(n-1) <= C^(m)_n decides."""
+    and not when 2^(n-1) <= C^(m)_n decides.  Return True when the (D + 1)^2
+    table of every pair fits in _MAX_TERMS cells, False when the paths do."""
     paths = _check_size(n, m, budget)
     if (m * n * (n - 1) // 2 + 1) ** 2 <= _MAX_TERMS:
-        return
+        return True
     if paths is None and n - 1 <= _MAX_TERMS.bit_length():
         paths = catalan_number_m(n, m)
     if paths is None or paths > _MAX_TERMS:
         raise BudgetExceededError(
             f"term cap exceeded: C^(m)_n may have more than 2^{_MAX_TERMS.bit_length() - 1} terms"
         )
+    return False
 
 
 def qt_catalan_dinv_area(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^dinv(D) t^area(D) over all m-Dyck paths of height n."""
-    _check_terms(n, m, budget)
-    return _count_pairs(n, m, lambda b: (_dinv_block(b, m), b.sum(axis=1)))
+    return _count_pairs(n, m, budget, lambda b: (_dinv_block(b, m), b.sum(axis=1)))
 
 
 def qt_catalan_area_bounce(n: int, m: int, budget: int | None = None) -> QtPolynomial:
     """Sum of q^area(D) t^bounce(D) over all m-Dyck paths of height n."""
-    _check_terms(n, m, budget)
-    return _count_pairs(n, m, lambda b: (b.sum(axis=1), _bounce_block(b, m)))
+    return _count_pairs(n, m, budget, lambda b: (b.sum(axis=1), _bounce_block(b, m)))
 
 
 def transpose(p: QtPolynomial) -> QtPolynomial:

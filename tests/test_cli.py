@@ -616,10 +616,13 @@ class TestByteIdentity:
              "bb24fd7dca014be60ffce38456069124f4e16db982ddc38d205a5d0c95cd0972"),
             (["0,0,0,0,0"],
              "6cd7b5d4c02486b82942e6eb170458a4fab6e2e3199af28b725fe30818e8c299"),
+            ([",".join(f"{min(i, 40)}/2" for i in range(64)), "--m", "2"],
+             "5bac81db6ee60a4fa6e3acc80996282727b1057500dd2c733bf6ca3dc22fbd79"),
         ],
     )
     def test_stats_json(self, capsys, argv, digest):
-        # exact bounce vectors with ties: 5/3 = 2/3 + 1 and a flat path
+        # exact bounce vectors with ties: 5/3 = 2/3 + 1 and a flat path; at n = 64
+        # the roots of each step j >= 4 stop rising after 3 to 42 of its j lines
         code, out, _ = run(["stats", *argv], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest

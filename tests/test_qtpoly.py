@@ -71,7 +71,8 @@ class TestCatalanPolynomials:
     def test_value_at_one_one(self):
         assert qt_catalan_dinv_area(4, 1).evaluate(1, 1) == 14
 
-    @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (3, 3), (4, 2), (5, 1)])
+    # (3, 341) is the last table-counted m at n = 3, (3, 342) the first key-counted
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (3, 3), (4, 2), (5, 1), (3, 341), (3, 342)])
     def test_definitions_agree(self, n, m):
         assert qt_catalan_dinv_area(n, m) == qt_catalan_area_bounce(n, m)
 
@@ -131,7 +132,9 @@ class TestCatalanPolynomials:
         "n,m",
         [(n, m) for n in range(1, 7) for m in range(1, 4)]
         # the other six `poly` points of the benchmark; (6, 3) is above
-        + [(7, 2), (5, 6), (5, 7), (8, 2), (7, 3), (4, 20)],
+        + [(7, 2), (5, 6), (5, 7), (8, 2), (7, 3), (4, 20)]
+        # (D + 1)^2 = 2^20 cells, the largest table; then one key per path
+        + [(2, 1023), (2, 1024)],
     )
     def test_block_kernels_match_scalar_sum(self, n, m):
         paths = list(enumerate_m_dyck(n, m))
