@@ -113,8 +113,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     if args.grid[0] != args.grid[1]:
         raise ValueError(f"measure needs a square grid, got {args.grid[0]}x{args.grid[1]}")
-    batch = measure.sample_area_polytope(args.n, args.samples, args.seed)
-    hist = measure.pushforward_histogram(batch, args.map, args.grid)
+    stream = measure.SampleStream(args.n, args.samples, args.seed)
+    hist = measure.pushforward_histogram(stream, args.map, args.grid)
     summary = {
         "n": args.n,
         "samples": args.samples,
@@ -123,7 +123,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         "map": args.map,
         "total_weight": hist.total_weight,
         "volume": str(measure.polytope_volume(args.n)),
-        "acceptance_ratio": batch.acceptance_ratio,
+        "acceptance_ratio": stream.acceptance_ratio,
         "symmetry_deviation": hist.transpose_deviation(),
     }
     if args.n == 4:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import limit, qtpoly
 
 __all__ = [
     "SampleBatch",
+    "SampleStream",
     "Histogram2D",
     "polytope_volume",
     "sample_area_polytope",
@@ -48,8 +49,8 @@ MapChoice = Literal["dinv-area", "area-bounce"]
 
 _BLOCK_ROWS = 1 << 14  # proposals per rejection round
 _KERNEL_ROWS = 1 << 12  # points per block of the float kernels (fits in cache)
-_MAX_PROPOSALS = 10**10  # expected proposals allowed per sample_area_polytope call
-_MAX_COORDINATES = 5 * 10**7  # count * n allowed per sample_area_polytope call (memory)
+_MAX_PROPOSALS = 10**10  # expected proposals allowed per SampleStream
+_MAX_COORDINATES = 5 * 10**7  # points held by sample_area_polytope, cells by preserve (memory)
 
 
 def polytope_volume(n: int) -> Fraction:
@@ -78,6 +79,10 @@ class SampleBatch:
     def acceptance_ratio(self) -> float:
         return self.accepted / self.proposed
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The points, _KERNEL_ROWS rows at a time, as SampleStream yields them."""
+        return (self.points[lo:lo + _KERNEL_ROWS] for lo in range(0, self.count, _KERNEL_ROWS))
+
 
 def _accept_mask(block: np.ndarray) -> np.ndarray:
     """Rows of a (k, c) block with a_{i+1} <= a_i + 1 for every pair of
@@ -93,53 +98,75 @@ def _accept_mask(block: np.ndarray) -> np.ndarray:
     return ok
 
 
-def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) -> SampleBatch:
-    """Rejection-sample uniform points of the area polytope.
+class SampleStream:
+    """Rejection sampling of uniform points of the area polytope, one block at
+    a time: memory does not grow with the count.
 
     Proposals are uniform in the box prod_i [0, i] for the free coordinates
     a_1, ..., a_{n-1} (a_i <= i holds on the polytope by induction), so the
-    acceptance ratio estimates vol(A_n) / (n-1)!.  Blocks of _BLOCK_ROWS
-    proposals are drawn in order from one stream, so the points do not depend
-    on the block size; ``proposed`` and ``accepted`` count whole blocks.
-    One (_BLOCK_ROWS, n-1) block is refilled each round by ``rng.random``,
-    which gives the same doubles and leaves the same generator state as
-    ``uniform(0.0, 1.0)`` (that computes 0.0 + 1.0 * x), and accepted rows
-    are copied straight into the preallocated points.
-    ``seed`` is an int or a Generator, which is drawn from as given.  Raises
-    BudgetExceededError, before drawing, when the expected proposal count
-    count * (n-1)! / vol(A_n) = count * ((n-1)!)^2 / n^(n-2) exceeds
-    _MAX_PROPOSALS (it grows with n, so it is built one height at a time and
-    never far past the cap) or the points would hold more than
-    _MAX_COORDINATES floats.
+    acceptance ratio estimates vol(A_n) / (n-1)!.  Rounds of _BLOCK_ROWS
+    proposals, refilled by ``rng.random`` (the doubles and generator state of
+    ``uniform(0.0, 1.0)``), are drawn in order from one stream, so the rows do
+    not depend on the round size; ``proposed`` and ``accepted`` count the whole
+    rounds drawn so far.  ``seed`` is an int or a Generator, drawn from as
+    given.  Raises BudgetExceededError at construction, before drawing, when
+    the expected proposal count count * ((n-1)!)^2 / n^(n-2) exceeds
+    _MAX_PROPOSALS (built one height at a time, it never goes far past the cap).
     """
-    if n < 2:
-        raise ValueError("sampling needs n >= 2")
-    if count < 1:
-        raise ValueError("count must be positive")
-    if count * n > _MAX_COORDINATES:
-        raise BudgetExceededError(f"sampling needs more than {_MAX_COORDINATES:,} coordinates")
-    proposals = Fraction(count)  # at height 2; exact, as floats overflow for large n
-    for k in range(2, n):
+
+    def __init__(self, n: int, count: int, seed: int | np.random.Generator) -> None:
+        if n < 2:
+            raise ValueError("sampling needs n >= 2")
+        if count < 1:
+            raise ValueError("count must be positive")
+        proposals = Fraction(count)  # at height 2; exact, as floats overflow for large n
+        for k in range(2, n):
+            if proposals > _MAX_PROPOSALS:
+                break
+            proposals *= Fraction(k**k, (k + 1) ** (k - 1))  # from height k to k + 1
         if proposals > _MAX_PROPOSALS:
-            break
-        proposals *= Fraction(k**k, (k + 1) ** (k - 1))  # from height k to k + 1
-    if proposals > _MAX_PROPOSALS:
-        raise BudgetExceededError(f"sampling needs more than {_MAX_PROPOSALS:,} proposals")
-    rng = np.random.default_rng(seed)
-    highs = np.arange(1, n, dtype=float)
-    block = np.empty((_BLOCK_ROWS, n - 1))  # free coordinates, refilled each round
-    points = np.zeros((count, n))
-    accepted = 0
-    proposed = 0
-    while accepted < count:
-        rng.random(out=block)
-        block *= highs
-        good = block[_accept_mask(block)]
-        take = min(good.shape[0], count - accepted)
-        points[accepted:accepted + take, 1:] = good[:take]
-        proposed += _BLOCK_ROWS
-        accepted += good.shape[0]
-    return SampleBatch(n=n, points=points, proposed=proposed, accepted=accepted)
+            raise BudgetExceededError(f"sampling needs more than {_MAX_PROPOSALS:,} proposals")
+        self.n, self.count, self.proposed, self.accepted = n, count, 0, 0
+        self._rng = np.random.default_rng(seed)
+
+    @property
+    def acceptance_ratio(self) -> float:
+        return self.accepted / self.proposed
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Yield the accepted zero-prefixed rows in stream order, _KERNEL_ROWS at a
+        time and then the rest, in one staging buffer that the next block reuses."""
+        highs = np.arange(1, self.n, dtype=float)
+        block = np.empty((_BLOCK_ROWS, self.n - 1))  # free coordinates, refilled each round
+        staged = np.zeros((_KERNEL_ROWS, self.n))  # first column stays 0
+        filled = 0
+        while self.accepted < self.count:
+            self._rng.random(out=block)
+            block *= highs
+            good = block[_accept_mask(block)]
+            good, self.accepted = good[:self.count - self.accepted], self.accepted + good.shape[0]
+            self.proposed += _BLOCK_ROWS
+            while good.shape[0]:
+                take = min(good.shape[0], _KERNEL_ROWS - filled)
+                staged[filled:filled + take, 1:], good = good[:take], good[take:]
+                filled = (filled + take) % _KERNEL_ROWS
+                if not filled:
+                    yield staged
+        if filled:
+            yield staged[:filled]
+
+
+def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) -> SampleBatch:
+    """The blocks of SampleStream(n, count, seed), concatenated into one array.
+    Raises BudgetExceededError, before drawing, when the points would hold
+    more than _MAX_COORDINATES floats, or as SampleStream does."""
+    if n >= 2 and count * n > _MAX_COORDINATES:
+        raise BudgetExceededError(f"sampling needs more than {_MAX_COORDINATES:,} coordinates")
+    stream = SampleStream(n, count, seed)
+    points = np.empty((count, n))
+    for i, rows in enumerate(stream.blocks()):
+        points[i * _KERNEL_ROWS:(i + 1) * _KERNEL_ROWS] = rows
+    return SampleBatch(n=n, points=points, proposed=stream.proposed, accepted=stream.accepted)
 
 
 def batch_area(points: np.ndarray) -> np.ndarray:
@@ -242,15 +269,16 @@ def default_bounds(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def pushforward_histogram(
-    batch: SampleBatch,
+    batch: SampleBatch | SampleStream,
     map_choice: MapChoice,
     resolution: tuple[int, int] = (60, 60),
 ) -> Histogram2D:
     """Histogram the image of a sample batch on default_bounds(n); each sample
     carries weight vol(A_n) / count so the total weight is the polytope volume.
 
-    One pass over blocks of _KERNEL_ROWS points: the batch kernels score each
-    block row by row, and _add_counts adds it to one int64 count per cell.  The
+    One pass over batch.blocks(), the same blocks for a SampleStream as for
+    the SampleBatch it would concatenate: the batch kernels score each block
+    row by row, and _add_counts adds it to one int64 count per cell.  The
     cells, count * weight, are those of np.histogram2d on the whole statistic
     arrays, bit for bit: half-open, with the last one closed.
     """
@@ -259,8 +287,7 @@ def pushforward_histogram(
         raise ValueError(f"unknown map choice {map_choice!r}")
     hi = float(default_bounds(batch.n)[1])
     counts = np.zeros(resolution[0] * resolution[1], dtype=np.int64)
-    for lo in range(0, batch.count, _KERNEL_ROWS):
-        rows = batch.points[lo:lo + _KERNEL_ROWS]
+    for rows in batch.blocks():
         # module globals, so that a wrapper installed there sees the calls
         if map_choice == "dinv-area":
             xs, ys = batch_dinv(rows), batch_area(rows)
@@ -455,10 +482,10 @@ def measure_preservation_check(
     """Empirical invariance of the uniform measure under the sorting
     transform.
 
-    Two independent substreams are drawn from the seed; one batch is pushed
-    through the transform in blocks of _KERNEL_ROWS points, and both are
-    counted by _add_counts on the bounding box of the polytope in the free
-    area coordinates.  Per-cell z-scores use the two-sample
+    Two independent SampleStreams are drawn from the seed and read side by
+    side, block by block, so no points are held; one is pushed through the
+    transform, and both are counted by _add_counts on the bounding box of the
+    polytope in the free area coordinates.  Per-cell z-scores use the two-sample
     binomial noise floor sqrt(c1 + c2).  The L1 budget is the null mean of
     the aggregate L1 plus five null standard deviations (_null_l1_moments).
     Raises BudgetExceededError, before drawing, when a histogram would hold
@@ -471,15 +498,13 @@ def measure_preservation_check(
         raise BudgetExceededError(f"the check needs more than {_MAX_COORDINATES:,} histogram cells")
     seq = np.random.SeedSequence(seed)
     rng_direct, rng_transported = (np.random.default_rng(s) for s in seq.spawn(2))
-    direct = sample_area_polytope(n, count, rng_direct)
-    source = sample_area_polytope(n, count, rng_transported)
+    direct, source = SampleStream(n, count, rng_direct), SampleStream(n, count, rng_transported)
     his, cells = [float(i) for i in range(1, n)], (resolution,) * (n - 1)
     c_direct = np.zeros(resolution ** (n - 1), dtype=np.int64)
     c_trans = np.zeros_like(c_direct)
-    for lo in range(0, count, _KERNEL_ROWS):
-        rows = slice(lo, lo + _KERNEL_ROWS)
-        _add_counts(c_direct, direct.points[rows, 1:].T, his, cells)
-        _add_counts(c_trans, batch_transform_T(source.points[rows])[:, 1:].T, his, cells)
+    for kept, moved in zip(direct.blocks(), source.blocks()):
+        _add_counts(c_direct, kept[:, 1:].T, his, cells)
+        _add_counts(c_trans, batch_transform_T(moved)[:, 1:].T, his, cells)
     pooled = c_direct + c_trans
     occupied = pooled > 0
     z = np.zeros(pooled.shape)

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,72 @@ class TestMeasure:
         with pytest.raises(SystemExit) as exc:
             run(["measure", "--n", "3", "--grid", "60by60"], capsys)
         assert exc.value.code == EXIT_USAGE
+
+
+# Run in a fresh process: the CLI command in argv, and then the growth of the
+# peak RSS (KiB on Linux) over the import of the package, on stderr.
+_RSS_GROWTH = """
+import resource, sys
+import qtcatalan.cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = qtcatalan.cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, file=sys.stderr)
+"""
+
+
+class TestStreamedMeasure:
+    """`measure` and `preserve` score and bin SampleStream blocks as they are
+    drawn, so they equal the whole batch and hold no points."""
+
+    @pytest.mark.parametrize("map_choice", ["dinv-area", "area-bounce"])
+    @pytest.mark.parametrize("n,count", [(4, 100), (4, 2 * 4096 - 1), (4, 2 * 4096), (4, 2 * 4096 + 1),
+                                         (8, 100), (8, 4095), (8, 4096), (8, 4097)])
+    def test_matches_whole_batch(self, n, count, map_choice, capsys, monkeypatch, tmp_path):
+        histogram, seen = measure.pushforward_histogram, []
+
+        def spy(batch, *rest):
+            seen.append((type(batch), histogram(batch, *rest)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(measure, "pushforward_histogram", spy)
+        code, out, _ = run(["measure", "--n", str(n), "--samples", str(count), "--map", map_choice,
+                            "--grid", "17x17", "--seed", str(count), "--out", str(tmp_path / "h.csv")],
+                           capsys)
+        batch = measure.sample_area_polytope(n, count, count)
+        whole = histogram(batch, map_choice, (17, 17))
+        summary = json.loads(out)
+        assert code == EXIT_OK and [kind for kind, _ in seen] == [measure.SampleStream]
+        assert seen[0][1].cells.tobytes() == whole.cells.tobytes()
+        assert (tmp_path / "h.csv").read_text() == whole.to_csv()
+        assert summary["total_weight"] == whole.total_weight
+        assert summary["acceptance_ratio"] == batch.acceptance_ratio
+
+    @pytest.mark.parametrize("argv,text", [
+        (["measure", "--n", "4", "--samples", "10000000000"], "proposals"),
+        (["preserve", "--n", "9"], "histogram cells"),
+    ])
+    def test_refused_before_drawing(self, argv, text, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew before the cap was checked")
+
+        monkeypatch.setattr(measure.SampleStream, "blocks", fail)
+        monkeypatch.setattr(measure.np.random, "default_rng", fail)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_BUDGET and out == "" and text in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--n", "4", "--samples", "2000000", "--out", os.devnull],
+        ["preserve", "--n", "4", "--samples", "1000000"],  # two held batches were 64 MB
+    ])
+    def test_memory_does_not_grow_with_samples(self, argv):
+        src = str(Path(measure.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", _RSS_GROWTH, *argv], env=env, timeout=120,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        code, growth_kib = map(int, result.stderr.split()[-2:])
+        assert code == EXIT_OK
+        assert growth_kib < 24 * 1024, f"peak RSS grew by {growth_kib / 1024:.1f} MB"
 
 
 class TestConverge:
@@ -333,7 +403,7 @@ class TestUsage:
         [
             ["measure", "--n", "20", "--samples", "1"],
             ["preserve", "--n", "16"],
-            ["measure", "--n", "4", "--samples", "20000000"],
+            ["measure", "--n", "4", "--samples", "10000000000"],  # ~2.25e10 proposals
         ],
     )
     def test_sampling_budget_exit_3(self, argv, capsys):

@@ -288,6 +288,29 @@ class TestSampling:
         if as_generator:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @given(n=st.integers(2, 7), count=st.integers(1, 300), sizes=st.sampled_from([(7, 64), (64, 7)]),
+           seed=st.integers(0, 2**32 - 1), map_choice=st.sampled_from(["dinv-area", "area-bounce"]))
+    @example(n=2, count=300, sizes=(64, 7), seed=0, map_choice="area-bounce")
+    @example(n=5, count=300, sizes=(7, 64), seed=0, map_choice="dinv-area")
+    @settings(deadline=None, max_examples=60)
+    def test_stream_matches_oracle_with_small_buffers(self, n, count, sizes, seed, map_choice):
+        # (7, 64): many rounds fill one staging buffer; (64, 7): one round fills several
+        rounds, staging = sizes
+        points, proposed, accepted = _sample_oracle(n, count, seed, rounds)
+        whole = pushforward_histogram(measure.SampleBatch(n, points, proposed, accepted), map_choice, (9, 9))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure, "_BLOCK_ROWS", rounds)
+            mp.setattr(measure, "_KERNEL_ROWS", staging)
+            stream = measure.SampleStream(n, count, seed)
+            blocks = [rows.copy() for rows in stream.blocks()]
+            streamed = pushforward_histogram(measure.SampleStream(n, count, seed), map_choice, (9, 9))
+        assert [len(rows) for rows in blocks[:-1]] == [staging] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= staging
+        assert np.concatenate(blocks).tobytes() == points.tobytes()
+        assert (stream.proposed, stream.accepted) == (proposed, accepted)
+        assert streamed.cells.tobytes() == whole.cells.tobytes()
+        assert streamed.total_weight == whole.total_weight
+
     @given(box_proposals())
     @settings(max_examples=200)
     def test_accept_mask_free_rows_match_full_rows(self, free):
