@@ -38,6 +38,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return (w, h)
 
 
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():  # int() reads every string of decimal digits
+        raise argparse.ArgumentTypeError("must be a non-negative integer (from --seed or CATALAN_SEED)")
+    return int(text)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "statistics, and their limiting measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through type=int, so a bad CATALAN_SEED exits 2
+    # a string default goes through type=_parse_seed, so a bad CATALAN_SEED exits 2
     seed_default = os.environ.get("CATALAN_SEED", "0")
 
     p = sub.add_parser("poly", help="compute the q,t-Catalan polynomial for (n, m)")
@@ -253,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="Monte Carlo pushforward histogram")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=_parse_seed, default=seed_default)
     p.add_argument("--grid", type=_parse_grid, default=(60, 60))
     p.add_argument("--map", choices=("dinv-area", "area-bounce"), default="dinv-area")
     p.add_argument("--out", default=None, help="write histogram CSV here; summary JSON on stdout")
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preserve", help="invariance of the sampling measure under T")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=_parse_seed, default=seed_default)
     p.set_defaults(func=cmd_preserve)
 
     p = sub.add_parser("verify", help="run the built-in worked-example and oracle checks")

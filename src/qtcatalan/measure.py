@@ -25,7 +25,6 @@ from .discrete import BudgetExceededError, catalan_number_m
 from . import limit, qtpoly
 
 __all__ = [
-    "SampleBatch",
     "SampleStream",
     "Histogram2D",
     "polytope_volume",
@@ -60,28 +59,6 @@ def polytope_volume(n: int) -> Fraction:
     if n == 1:
         return Fraction(1)
     return Fraction(n ** (n - 2), math.factorial(n - 1))
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Uniform samples of the area polytope, with rejection bookkeeping."""
-
-    n: int
-    points: np.ndarray  # shape (count, n), first column identically 0
-    proposed: int
-    accepted: int
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.accepted / self.proposed
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The points, _KERNEL_ROWS rows at a time, as SampleStream yields them."""
-        return (self.points[lo:lo + _KERNEL_ROWS] for lo in range(0, self.count, _KERNEL_ROWS))
 
 
 def _accept_mask(block: np.ndarray) -> np.ndarray:
@@ -119,11 +96,9 @@ class SampleStream:
             raise ValueError("sampling needs n >= 2")
         if count < 1:
             raise ValueError("count must be positive")
-        proposals = Fraction(count)  # at height 2; exact, as floats overflow for large n
-        for k in range(2, n):
-            if proposals > _MAX_PROPOSALS:
-                break
-            proposals *= Fraction(k**k, (k + 1) ** (k - 1))  # from height k to k + 1
+        proposals, k = Fraction(count), 2  # at height 2; exact, as floats overflow for large n
+        while k < n and proposals <= _MAX_PROPOSALS:  # from height k to k + 1
+            proposals, k = proposals * Fraction(k**k, (k + 1) ** (k - 1)), k + 1
         if proposals > _MAX_PROPOSALS:
             raise BudgetExceededError(f"sampling needs more than {_MAX_PROPOSALS:,} proposals")
         self.n, self.count, self.proposed, self.accepted = n, count, 0, 0
@@ -135,7 +110,10 @@ class SampleStream:
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Yield the accepted zero-prefixed rows in stream order, _KERNEL_ROWS at a
-        time and then the rest, in one staging buffer that the next block reuses."""
+        time and then the rest, in one staging buffer that the next block reuses.
+        A stream is read once: a drawn stream raises ValueError at the first block."""
+        if self.proposed:
+            raise ValueError("this SampleStream has already been drawn from; build a new one")
         highs = np.arange(1, self.n, dtype=float)
         block = np.empty((_BLOCK_ROWS, self.n - 1))  # free coordinates, refilled each round
         staged = np.zeros((_KERNEL_ROWS, self.n))  # first column stays 0
@@ -156,17 +134,16 @@ class SampleStream:
             yield staged[:filled]
 
 
-def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) -> SampleBatch:
-    """The blocks of SampleStream(n, count, seed), concatenated into one array.
-    Raises BudgetExceededError, before drawing, when the points would hold
-    more than _MAX_COORDINATES floats, or as SampleStream does."""
+def sample_area_polytope(n: int, count: int, seed: int | np.random.Generator) -> np.ndarray:
+    """The (count, n) points of SampleStream(n, count, seed) in one array.  Raises
+    BudgetExceededError, before drawing, past _MAX_COORDINATES floats, or as SampleStream does."""
     if n >= 2 and count * n > _MAX_COORDINATES:
         raise BudgetExceededError(f"sampling needs more than {_MAX_COORDINATES:,} coordinates")
     stream = SampleStream(n, count, seed)
     points = np.empty((count, n))
     for i, rows in enumerate(stream.blocks()):
         points[i * _KERNEL_ROWS:(i + 1) * _KERNEL_ROWS] = rows
-    return SampleBatch(n=n, points=points, proposed=stream.proposed, accepted=stream.accepted)
+    return points
 
 
 def batch_area(points: np.ndarray) -> np.ndarray:
@@ -269,34 +246,31 @@ def default_bounds(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def pushforward_histogram(
-    batch: SampleBatch | SampleStream,
+    stream: SampleStream,
     map_choice: MapChoice,
     resolution: tuple[int, int] = (60, 60),
 ) -> Histogram2D:
-    """Histogram the image of a sample batch on default_bounds(n); each sample
+    """Histogram the image of a sample stream on default_bounds(n); each sample
     carries weight vol(A_n) / count so the total weight is the polytope volume.
 
-    One pass over batch.blocks(), the same blocks for a SampleStream as for
-    the SampleBatch it would concatenate: the batch kernels score each block
-    row by row, and _add_counts adds it to one int64 count per cell.  The
-    cells, count * weight, are those of np.histogram2d on the whole statistic
-    arrays, bit for bit: half-open, with the last one closed.
+    One pass over stream.blocks(): the batch kernels score each block row by
+    row, and _add_counts adds it to one int64 count per cell.  The cells,
+    count * weight, are those of np.histogram2d on the whole statistic arrays
+    of the stream's points, bit for bit: half-open, with the last one closed.
     """
     _check_grid(resolution)
     if map_choice not in ("dinv-area", "area-bounce"):
         raise ValueError(f"unknown map choice {map_choice!r}")
-    hi = float(default_bounds(batch.n)[1])
+    hi = float(default_bounds(stream.n)[1])
     counts = np.zeros(resolution[0] * resolution[1], dtype=np.int64)
-    for rows in batch.blocks():
+    for rows in stream.blocks():
         # module globals, so that a wrapper installed there sees the calls
-        if map_choice == "dinv-area":
-            xs, ys = batch_dinv(rows), batch_area(rows)
-        else:
-            xs, ys = batch_area(rows), batch_bounce(rows)
+        xs, ys = ((batch_dinv(rows), batch_area(rows)) if map_choice == "dinv-area"
+                  else (batch_area(rows), batch_bounce(rows)))
         _add_counts(counts, (xs, ys), (hi, hi), resolution)
-    weight = float(polytope_volume(batch.n)) / batch.count
+    weight = float(polytope_volume(stream.n)) / stream.count
     cells = counts.reshape(resolution).astype(float) * weight
-    return Histogram2D(n=batch.n, cells=cells, total_weight=weight * batch.count)
+    return Histogram2D(n=stream.n, cells=cells, total_weight=weight * stream.count)
 
 
 def _cell_index(num: np.ndarray, den: int, hi: int, cells: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from qtcatalan import discrete, measure, qtpoly
 from qtcatalan.discrete import BudgetExceededError
 from qtcatalan.continuous import ContinuousPath, normalized_m_stats
 from qtcatalan.measure import measure_preservation_check
+from test_measure import _histogram2d_oracle, _sample_oracle
 
 
 def run(argv, capsys):
@@ -201,14 +202,14 @@ class TestStreamedMeasure:
         code, out, _ = run(["measure", "--n", str(n), "--samples", str(count), "--map", map_choice,
                             "--grid", "17x17", "--seed", str(count), "--out", str(tmp_path / "h.csv")],
                            capsys)
-        batch = measure.sample_area_polytope(n, count, count)
-        whole = histogram(batch, map_choice, (17, 17))
+        points, proposed, accepted = _sample_oracle(n, count, count, measure._BLOCK_ROWS)
+        whole = measure.Histogram2D(n, *_histogram2d_oracle(points, map_choice, (17, 17)))
         summary = json.loads(out)
         assert code == EXIT_OK and [kind for kind, _ in seen] == [measure.SampleStream]
         assert seen[0][1].cells.tobytes() == whole.cells.tobytes()
         assert (tmp_path / "h.csv").read_text() == whole.to_csv()
         assert summary["total_weight"] == whole.total_weight
-        assert summary["acceptance_ratio"] == batch.acceptance_ratio
+        assert summary["acceptance_ratio"] == accepted / proposed
 
     @pytest.mark.parametrize("argv,text", [
         (["measure", "--n", "4", "--samples", "10000000000"], "proposals"),
@@ -282,7 +283,8 @@ class TestPreserve:
         def fail(*args, **kwargs):
             raise AssertionError("sampled before the histogram cap was checked")
 
-        monkeypatch.setattr(measure, "sample_area_polytope", fail)
+        monkeypatch.setattr(measure.SampleStream, "blocks", fail)
+        monkeypatch.setattr(measure.np.random, "default_rng", fail)
         code, out, err = run(["preserve", "--n", str(n)], capsys)
         assert code == EXIT_BUDGET
         assert out == ""
@@ -433,6 +435,27 @@ class TestUsage:
             run(["measure", "--n", "3", "--samples", "100"], capsys)
         assert exc.value.code == EXIT_USAGE
         assert "error: " in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv,env", [
+        (["measure", "--n", "3", "--samples", "100", "--seed", "-1"], None),
+        (["preserve", "--n", "3", "--samples", "100", "--seed", "-1"], None),
+        (["measure", "--n", "3", "--samples", "100"], "-1"),
+    ], ids=["measure", "preserve", "CATALAN_SEED"])
+    def test_negative_seed_names_the_flag(self, argv, env, capsys, monkeypatch):
+        # refused by the parser, before anything is drawn, and not in numpy's words
+        def fail(*args, **kwargs):
+            raise AssertionError("drew before the seed was checked")
+
+        if env is not None:
+            monkeypatch.setenv("CATALAN_SEED", env)
+        monkeypatch.setattr(measure.SampleStream, "blocks", fail)
+        monkeypatch.setattr(measure.np.random, "default_rng", fail)
+        with pytest.raises(SystemExit) as exc:
+            run(argv, capsys)
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert err.splitlines()[-1].endswith(
+            "error: argument --seed: must be a non-negative integer (from --seed or CATALAN_SEED)")
 
 
 class _SmallPowers(int):

@@ -17,6 +17,7 @@ from qtcatalan.continuous import (
 )
 from qtcatalan.discrete import BudgetExceededError, catalan_number_m, enumerate_m_dyck
 from qtcatalan.measure import (
+    SampleStream,
     batch_area,
     batch_bounce,
     batch_bounce_vector,
@@ -164,6 +165,23 @@ def _sample_oracle(n, count, seed, rows):
     return points, proposed, accepted
 
 
+def _histogram2d_oracle(points, map_choice, grid):
+    """Cells and total weight of the pushforward histogram as it was once
+    made: whole-array kernels over all the points and one np.histogram2d."""
+    count, n = points.shape
+    hi = float(default_bounds(n)[1])
+    weight = float(polytope_volume(n)) / count
+    xs, ys = ((batch_dinv(points), batch_area(points)) if map_choice == "dinv-area"
+              else (batch_area(points), batch_bounce(points)))
+    cells, _, _ = np.histogram2d(xs, ys, bins=grid, range=[[0.0, hi], [0.0, hi]])
+    return cells * weight, weight * count
+
+
+def _drain(stream):
+    """Read a SampleStream to the end; its points, one copy of each block."""
+    return np.concatenate([rows.copy() for rows in stream.blocks()])
+
+
 @st.composite
 def box_proposals(draw):
     """Free coordinates a_1..a_{n-1} with a_i in [0, i], often on the
@@ -239,34 +257,34 @@ class TestEhrhart:
 
 class TestSampling:
     def test_deterministic(self):
-        b1 = sample_area_polytope(4, 5000, seed=42)
-        b2 = sample_area_polytope(4, 5000, seed=42)
-        assert np.array_equal(b1.points, b2.points)
-        assert b1.proposed == b2.proposed
+        s1, s2 = SampleStream(4, 5000, 42), SampleStream(4, 5000, 42)
+        assert np.array_equal(_drain(s1), _drain(s2))
+        assert s1.proposed == s2.proposed
 
     def test_points_in_polytope(self):
-        b = sample_area_polytope(5, 20000, seed=1)
-        pts = b.points
+        pts = sample_area_polytope(5, 20000, seed=1)
         assert np.all(pts[:, 0] == 0.0)
         for i in range(4):
             assert np.all(pts[:, i + 1] <= pts[:, i] + 1)
         assert np.all(pts >= 0.0)
 
     def test_n2_everything_accepted(self):
-        b = sample_area_polytope(2, 10000, seed=3)
-        assert b.acceptance_ratio == 1.0
+        s = SampleStream(2, 10000, 3)
+        _drain(s)
+        assert s.acceptance_ratio == 1.0
 
     def test_acceptance_estimates_volume(self):
-        b = sample_area_polytope(4, 200000, seed=7)
-        est = b.acceptance_ratio * 6  # box volume (n-1)! = 6
+        s = SampleStream(4, 200000, 7)
+        _drain(s)
+        est = s.acceptance_ratio * 6  # box volume (n-1)! = 6
         assert abs(est - 8 / 3) < 0.03
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("rows", [1000, 1 << 20])
     def test_points_independent_of_block_size(self, n, rows, monkeypatch):
-        default = sample_area_polytope(n, 30000, seed=5).points
+        default = sample_area_polytope(n, 30000, seed=5)
         monkeypatch.setattr(measure, "_BLOCK_ROWS", rows)
-        assert np.array_equal(sample_area_polytope(n, 30000, seed=5).points, default)
+        assert np.array_equal(sample_area_polytope(n, 30000, seed=5), default)
 
     @given(n=st.integers(2, 9), count=st.integers(1, 40), rows=st.sampled_from([7, 64, 1000]),
            seed=st.integers(0, 2**32 - 1), on_boundary=st.booleans(), as_generator=st.booleans())
@@ -282,9 +300,11 @@ class TestSampling:
             _sample_oracle(n, count, ref_rng, rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure, "_BLOCK_ROWS", rows)
-            b = sample_area_polytope(n, count, rng if as_generator else seed)
-        assert b.points.tobytes() == points.tobytes() and b.points.shape == points.shape
-        assert (b.proposed, b.accepted) == (proposed, accepted)
+            got = sample_area_polytope(n, count, rng if as_generator else seed)
+            stream = SampleStream(n, count, seed)
+            _drain(stream)
+        assert got.tobytes() == points.tobytes() and got.shape == points.shape
+        assert (stream.proposed, stream.accepted) == (proposed, accepted)
         if as_generator:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -297,19 +317,30 @@ class TestSampling:
         # (7, 64): many rounds fill one staging buffer; (64, 7): one round fills several
         rounds, staging = sizes
         points, proposed, accepted = _sample_oracle(n, count, seed, rounds)
-        whole = pushforward_histogram(measure.SampleBatch(n, points, proposed, accepted), map_choice, (9, 9))
+        cells, total_weight = _histogram2d_oracle(points, map_choice, (9, 9))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure, "_BLOCK_ROWS", rounds)
             mp.setattr(measure, "_KERNEL_ROWS", staging)
-            stream = measure.SampleStream(n, count, seed)
+            stream = SampleStream(n, count, seed)
             blocks = [rows.copy() for rows in stream.blocks()]
-            streamed = pushforward_histogram(measure.SampleStream(n, count, seed), map_choice, (9, 9))
+            streamed = pushforward_histogram(SampleStream(n, count, seed), map_choice, (9, 9))
         assert [len(rows) for rows in blocks[:-1]] == [staging] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= staging
         assert np.concatenate(blocks).tobytes() == points.tobytes()
         assert (stream.proposed, stream.accepted) == (proposed, accepted)
-        assert streamed.cells.tobytes() == whole.cells.tobytes()
-        assert streamed.total_weight == whole.total_weight
+        assert streamed.cells.tobytes() == cells.tobytes()
+        assert streamed.total_weight == total_weight
+
+    def test_stream_is_read_once(self):
+        # a second pass over a drawn stream would see no points and still report the volume
+        s = SampleStream(4, 1000, 0)
+        pushforward_histogram(s, "dinv-area")
+        with pytest.raises(ValueError, match="already been drawn from"):
+            pushforward_histogram(s, "area-bounce")
+        partly = SampleStream(4, 10000, 0)
+        next(partly.blocks())
+        with pytest.raises(ValueError, match="already been drawn from"):
+            next(partly.blocks())
 
     @given(box_proposals())
     @settings(max_examples=200)
@@ -329,7 +360,7 @@ class TestSampling:
 
 class TestBatchKernels:
     def _random_batch(self, n, count, seed):
-        return sample_area_polytope(n, count, seed).points
+        return sample_area_polytope(n, count, seed)
 
     def test_agree_with_exact_statistics(self):
         pts = self._random_batch(5, 200, seed=11)
@@ -415,15 +446,13 @@ class TestBatchKernels:
 
 class TestHistogram:
     def test_total_weight_is_volume(self):
-        b = sample_area_polytope(4, 10000, seed=5)
-        h = pushforward_histogram(b, "dinv-area")
+        h = pushforward_histogram(SampleStream(4, 10000, 5), "dinv-area")
         assert abs(h.total_weight - 8 / 3) < 1e-12
         assert abs(h.cells.sum() - 8 / 3) < 1e-9  # nothing falls outside default bounds
 
     def test_bad_map_choice(self):
-        b = sample_area_polytope(3, 100, seed=5)
         with pytest.raises(ValueError):
-            pushforward_histogram(b, "area-dinv")
+            pushforward_histogram(SampleStream(3, 100, 5), "area-dinv")
 
     @settings(max_examples=300, deadline=None)
     @given(float_bin_inputs())
@@ -443,17 +472,12 @@ class TestHistogram:
     @pytest.mark.parametrize("n, count, grid", [(3, 9001, (1, 1)), (4, 12289, (60, 60)),
                                                  (5, 8193, (7, 7)), (6, 4097, (13, 13))])
     def test_pushforward_matches_whole_array_histogram2d(self, n, count, grid):
-        # whole kernels and one np.histogram2d, as the histogram was once made
-        batch = sample_area_polytope(n, count, seed=count)
-        hi = float(default_bounds(n)[1])
-        weight = float(polytope_volume(n)) / count
-        pts = batch.points
-        for map_choice, (xs, ys) in (("dinv-area", (batch_dinv(pts), batch_area(pts))),
-                                     ("area-bounce", (batch_area(pts), batch_bounce(pts)))):
-            cells, _, _ = np.histogram2d(xs, ys, bins=grid, range=[[0.0, hi], [0.0, hi]])
-            h = pushforward_histogram(batch, map_choice, grid)
-            assert h.cells.tobytes() == (cells * weight).tobytes()
-            assert h.total_weight == weight * count
+        points = sample_area_polytope(n, count, seed=count)
+        for map_choice in ("dinv-area", "area-bounce"):
+            cells, total_weight = _histogram2d_oracle(points, map_choice, grid)
+            h = pushforward_histogram(SampleStream(n, count, count), map_choice, grid)
+            assert h.cells.tobytes() == cells.tobytes()
+            assert h.total_weight == total_weight
 
     def test_bin_discrete_boundary_inclusion(self):
         # atom exactly on the upper corner must land in the last (closed) cell
@@ -548,8 +572,7 @@ class TestDensityN4:
 
     def test_cell_integrals_match_mc(self):
         h = density_n4_cell_integrals((12, 12))
-        b = sample_area_polytope(4, 400000, seed=17)
-        mc = pushforward_histogram(b, "dinv-area", (12, 12))
+        mc = pushforward_histogram(SampleStream(4, 400000, 17), "dinv-area", (12, 12))
         assert l1_distance(h, mc) < 0.05
 
     def test_density_symmetric_on_grid(self):
@@ -643,9 +666,8 @@ class TestLimitCells:
         vol = float(polytope_volume(n))
         p = exact.cells / vol
         null_mean = float((vol * np.sqrt(2 * p * (1 - p) / (math.pi * count))).sum())
-        batch = sample_area_polytope(n, count, seed=n)
         for map_choice in ("dinv-area", "area-bounce"):
-            mc = pushforward_histogram(batch, map_choice, (10, 10))
+            mc = pushforward_histogram(SampleStream(n, count, n), map_choice, (10, 10))
             assert l1_distance(mc, exact) < 2 * null_mean
 
     def test_rejects_n_below_2(self):
@@ -673,7 +695,7 @@ class TestGridSizes:
             lambda grid: limit_cell_integrals(4, grid),
             lambda grid: convergence_report(3, [2], resolution=grid),
             lambda grid: bin_discrete_measure(_measure((1, 1, 1)), grid, 3),
-            lambda grid: pushforward_histogram(sample_area_polytope(3, 10, 0), "dinv-area", grid),
+            lambda grid: pushforward_histogram(SampleStream(3, 10, 0), "dinv-area", grid),
             lambda grid: measure_preservation_check(3, count=10, resolution=min(grid)),
         ],
         ids=["limit_cell_integrals", "convergence_report", "bin_discrete_measure",
