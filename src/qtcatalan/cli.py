@@ -120,22 +120,28 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if args.grid[0] != args.grid[1]:
         raise ValueError(f"measure needs a square grid, got {args.grid[0]}x{args.grid[1]}")
     stream = measure.SampleStream(args.n, args.samples, args.seed)
-    hist = measure.pushforward_histogram(stream, args.map, args.grid)
-    summary = {
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "grid": list(args.grid),
-        "map": args.map,
-        "total_weight": hist.total_weight,
-        "volume": str(measure.polytope_volume(args.n)),
-        "acceptance_ratio": stream.acceptance_ratio,
-        "symmetry_deviation": hist.transpose_deviation(),
-    }
-    if args.n == 4:
-        exact = measure.density_n4_cell_integrals(args.grid)
-        summary["l1_to_exact_density"] = measure.l1_distance(hist, exact)
-    _emit(hist.to_csv(), args.out)
+    # opened (and truncated) after the caps but before drawing, so a bad path wastes no work
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        hist = measure.pushforward_histogram(stream, args.map, args.grid)
+        summary = {
+            "n": args.n,
+            "samples": args.samples,
+            "seed": args.seed,
+            "grid": list(args.grid),
+            "map": args.map,
+            "total_weight": hist.total_weight,
+            "volume": str(measure.polytope_volume(args.n)),
+            "acceptance_ratio": stream.acceptance_ratio,
+            "symmetry_deviation": hist.transpose_deviation(),
+        }
+        if args.n == 4:
+            exact = measure.density_n4_cell_integrals(args.grid)
+            summary["l1_to_exact_density"] = measure.l1_distance(hist, exact)
+        out.write(hist.to_csv())
+    finally:
+        if out is not sys.stdout:
+            out.close()
     sys.stdout.write(_dump_json(summary))
     return EXIT_OK
 

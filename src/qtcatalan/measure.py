@@ -9,6 +9,16 @@ and invariance of the sampling measure under the sorting transform).
 Everything is seeded and byte-deterministic.  Volumes are exact rationals,
 and the limit cell masses are evaluated in integers from the partition sum
 of limit.py, with no float before the last division.
+
+SampleStream picks its sampler by n.  For n <= 6 it rejects uniform points
+of the box prod_i [0, i], which keeps at least 9 % of them.  For n >= 7,
+where rejection would need ((n-1)!)^2 / n^(n-2) proposals per point (97 at
+n = 8), it maps a uniform point of [0, n)^(n-1) onto A_n: sorted, A_n is the
+union of the unit cubes over the parking functions of length n - 1, and by
+Pollak's cyclic lemma exactly one cyclic shift of each point lands there
+(Foata-Riordan 1974; Stanley-Pitman 2002), so every draw is kept.  The
+two are different streams of one law: for a fixed seed, the n >= 7 points,
+and so the `measure` and `preserve` outputs, are not those rejection draws.
 """
 
 from __future__ import annotations
@@ -48,7 +58,9 @@ MapChoice = Literal["dinv-area", "area-bounce"]
 
 _BLOCK_ROWS = 1 << 14  # proposals per rejection round
 _KERNEL_ROWS = 1 << 12  # points per block of the float kernels (fits in cache)
+_PARKING_FROM_N = 7  # SampleStream parks from here up, and rejects below
 _MAX_PROPOSALS = 10**10  # expected proposals allowed per SampleStream
+_MAX_BLOCK_COORDINATES = 1 << 22  # floats in one SampleStream block, 32 MiB (memory)
 _MAX_COORDINATES = 5 * 10**7  # points held by sample_area_polytope, cells by preserve (memory)
 
 
@@ -75,20 +87,61 @@ def _accept_mask(block: np.ndarray) -> np.ndarray:
     return ok
 
 
-class SampleStream:
-    """Rejection sampling of uniform points of the area polytope, one block at
-    a time: memory does not grow with the count.
+def _park(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Write into a, and return it, the free coordinates a_1, ..., a_{n-1} of
+    the points of A_n that the rows of y, each uniform in [0, n)^(n-1), map
+    to; y is sorted in place, row by row.
 
-    Proposals are uniform in the box prod_i [0, i] for the free coordinates
-    a_1, ..., a_{n-1} (a_i <= i holds on the polytope by induction), so the
-    acceptance ratio estimates vol(A_n) / (n-1)!.  Rounds of _BLOCK_ROWS
-    proposals, refilled by ``rng.random`` (the doubles and generator state of
-    ``uniform(0.0, 1.0)``), are drawn in order from one stream, so the rows do
-    not depend on the round size; ``proposed`` and ``accepted`` count the whole
-    rounds drawn so far.  ``seed`` is an int or a Generator, drawn from as
-    given.  Raises BudgetExceededError at construction, before drawing, when
-    the expected proposal count count * ((n-1)!)^2 / n^(n-2) exceeds
-    _MAX_PROPOSALS (built one height at a time, it never goes far past the cap).
+    With x_i = i - a_i, A_n is {0 <= x_1 <= ... <= x_{n-1}, x_i <= i}: up to a
+    null set, the sorted points of the unit cubes p + [0, 1)^(n-1) over the
+    parking functions p of length n - 1.  By Pollak's cyclic lemma exactly one
+    shift c in Z_n of a point of Z_n^(n-1) is a parking function (Foata-Riordan
+    1974; Stanley-Pitman 2002), so y + c mod n, sorted, is uniform on that set.
+    On a sorted row (0-based j) the shift subtracts f = floor(y_j*), at the
+    first j* that minimises j - floor(y_j), from y_j*, ..., y_{n-2} and adds
+    n - f to the ones before; a row whose minimum is not negative already
+    parks, c = 0.  Each a_i = i - x_i is then an integer minus one y_j, with
+    one rounding, so a row is the float nearest its exact image.
+    """
+    rows, width = y.shape
+    y.sort(axis=1)
+    np.subtract(np.arange(width), np.floor(y), out=a)  # j - floor(y_j)
+    start = np.where(a.min(axis=1) < 0, a.argmin(axis=1), 0)
+    cols = start[:, None] + np.arange(width)
+    wrapped = cols >= width
+    cols -= width * wrapped
+    # a_{k+1} = (k + 1 + f - n [wrapped]) - y_{cols_k}: an exact integer minus one y,
+    # built in place, so that a block holds few temporaries
+    np.multiply(wrapped, -(width + 1), out=a)
+    a += np.arange(1, width + 1)
+    a += np.floor(y[np.arange(rows), start])[:, None]
+    a -= np.take_along_axis(y, cols, axis=1)
+    return a
+
+
+class SampleStream:
+    """Uniform points of the area polytope A_n, one block at a time: memory
+    does not grow with the count.  Two samplers, chosen by n alone:
+
+    - n <= 6, rejection.  Proposals are uniform in the box prod_i [0, i] for
+      the free coordinates a_1, ..., a_{n-1} (a_i <= i holds on the polytope
+      by induction), and the acceptance ratio, at least 0.09, estimates
+      vol(A_n) / (n-1)!.  Rounds of _BLOCK_ROWS proposals, refilled by
+      ``rng.random`` (the doubles and generator state of ``uniform(0.0,
+      1.0)``), are drawn in order from one stream, so the rows do not depend
+      on the round size; ``proposed`` and ``accepted`` count the whole rounds
+      drawn so far.
+    - n >= 7, where rejection keeps fewer than 1 proposal in 30, parking: each
+      block draws its rows' n - 1 doubles with one ``rng.random`` call, scales
+      them by n and maps them onto A_n by the cyclic lemma (_park).  Every row
+      drawn is kept, so ``proposed == accepted`` and the acceptance ratio is 1.
+      The rows do not depend on the block size either.
+
+    ``seed`` is an int or a Generator, drawn from as given.  Raises
+    BudgetExceededError at construction, before drawing, when one block of
+    _KERNEL_ROWS rows would pass _MAX_BLOCK_COORDINATES floats, or when the
+    expected proposal count, count * ((n-1)!)^2 / n^(n-2) for rejection
+    (at most 11.1 per point) and count for parking, passes _MAX_PROPOSALS.
     """
 
     def __init__(self, n: int, count: int, seed: int | np.random.Generator) -> None:
@@ -96,10 +149,12 @@ class SampleStream:
             raise ValueError("sampling needs n >= 2")
         if count < 1:
             raise ValueError("count must be positive")
-        proposals, k = Fraction(count), 2  # at height 2; exact, as floats overflow for large n
-        while k < n and proposals <= _MAX_PROPOSALS:  # from height k to k + 1
-            proposals, k = proposals * Fraction(k**k, (k + 1) ** (k - 1)), k + 1
-        if proposals > _MAX_PROPOSALS:
+        if _KERNEL_ROWS * n > _MAX_BLOCK_COORDINATES:
+            raise BudgetExceededError(
+                f"sampling needs more than {_MAX_BLOCK_COORDINATES:,} coordinates per block")
+        # proposals per point: (n-1)! / vol(A_n) = ((n-1)!)^2 / n^(n-2) by rejection, 1 by parking
+        num, den = (math.factorial(n - 1) ** 2, n ** (n - 2)) if n < _PARKING_FROM_N else (1, 1)
+        if count * num > _MAX_PROPOSALS * den:
             raise BudgetExceededError(f"sampling needs more than {_MAX_PROPOSALS:,} proposals")
         self.n, self.count, self.proposed, self.accepted = n, count, 0, 0
         self._rng = np.random.default_rng(seed)
@@ -114,9 +169,19 @@ class SampleStream:
         A stream is read once: a drawn stream raises ValueError at the first block."""
         if self.proposed:
             raise ValueError("this SampleStream has already been drawn from; build a new one")
+        staged = np.zeros((_KERNEL_ROWS, self.n))  # first column stays 0
+        if self.n >= _PARKING_FROM_N:
+            y = np.empty((_KERNEL_ROWS, self.n - 1))
+            while self.accepted < self.count:
+                take = min(_KERNEL_ROWS, self.count - self.accepted)
+                self._rng.random(out=y[:take])
+                y[:take] *= self.n
+                _park(y[:take], staged[:take, 1:])
+                self.proposed = self.accepted = self.accepted + take
+                yield staged[:take]
+            return
         highs = np.arange(1, self.n, dtype=float)
         block = np.empty((_BLOCK_ROWS, self.n - 1))  # free coordinates, refilled each round
-        staged = np.zeros((_KERNEL_ROWS, self.n))  # first column stays 0
         filled = 0
         while self.accepted < self.count:
             self._rng.random(out=block)

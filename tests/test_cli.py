@@ -16,7 +16,7 @@ from qtcatalan import discrete, measure, qtpoly
 from qtcatalan.discrete import BudgetExceededError
 from qtcatalan.continuous import ContinuousPath, normalized_m_stats
 from qtcatalan.measure import measure_preservation_check
-from test_measure import _histogram2d_oracle, _sample_oracle
+from test_measure import _histogram2d_oracle, _parking_oracle, _sample_oracle
 
 
 def run(argv, capsys):
@@ -202,7 +202,10 @@ class TestStreamedMeasure:
         code, out, _ = run(["measure", "--n", str(n), "--samples", str(count), "--map", map_choice,
                             "--grid", "17x17", "--seed", str(count), "--out", str(tmp_path / "h.csv")],
                            capsys)
-        points, proposed, accepted = _sample_oracle(n, count, count, measure._BLOCK_ROWS)
+        if n < measure._PARKING_FROM_N:
+            points, proposed, accepted = _sample_oracle(n, count, count, measure._BLOCK_ROWS)
+        else:  # every row drawn is kept
+            points, proposed, accepted = _parking_oracle(n, count, count), count, count
         whole = measure.Histogram2D(n, *_histogram2d_oracle(points, map_choice, (17, 17)))
         summary = json.loads(out)
         assert code == EXIT_OK and [kind for kind, _ in seen] == [measure.SampleStream]
@@ -214,6 +217,7 @@ class TestStreamedMeasure:
     @pytest.mark.parametrize("argv,text", [
         (["measure", "--n", "4", "--samples", "10000000000"], "proposals"),
         (["preserve", "--n", "9"], "histogram cells"),
+        (["measure", "--n", "10000000", "--samples", "1"], "coordinates per block"),
     ])
     def test_refused_before_drawing(self, argv, text, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -223,6 +227,23 @@ class TestStreamedMeasure:
         monkeypatch.setattr(measure.np.random, "default_rng", fail)
         code, out, err = run(argv, capsys)
         assert code == EXIT_BUDGET and out == "" and text in err
+
+    def test_unwritable_out_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew before --out was opened")
+
+        monkeypatch.setattr(measure.SampleStream, "blocks", fail)
+        code, out, err = run(["measure", "--n", "4", "--samples", "10000000",
+                              "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_n20_runs(self, capsys):
+        # past rejection's reach ((19!)^2 / 20^18 proposals a point); parking keeps every draw
+        code, out, _ = run(["measure", "--n", "20", "--samples", "1", "--out", os.devnull], capsys)
+        summary = json.loads(out)
+        assert code == EXIT_OK and summary["acceptance_ratio"] == 1.0
+        assert summary["total_weight"] == float(measure.polytope_volume(20))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
     @pytest.mark.parametrize("argv", [
@@ -289,6 +310,11 @@ class TestPreserve:
         assert code == EXIT_BUDGET
         assert out == ""
         assert len(err.splitlines()) == 1 and "histogram cells" in err
+
+    def test_n7_parking_streams_pass(self, capsys):
+        code, out, _ = run(["preserve", "--n", "7", "--samples", "200000", "--seed", "3"], capsys)
+        report = json.loads(out)
+        assert report["ok"] is True and code == EXIT_OK
 
     def test_n5_passes_at_default_samples(self, capsys):
         code, out, _ = run(["preserve", "--n", "5", "--seed", "0"], capsys)
@@ -403,7 +429,7 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["measure", "--n", "20", "--samples", "1"],
+            ["measure", "--n", "10000000", "--samples", "1"],
             ["preserve", "--n", "16"],
             ["measure", "--n", "4", "--samples", "10000000000"],  # ~2.25e10 proposals
         ],
@@ -504,10 +530,11 @@ class TestRefusalsBuildNothing:
 
     @pytest.mark.parametrize("n", ["100000", "10000000"])
     def test_proposal_cap_builds_no_factorial(self, n, capsys, monkeypatch):
+        # refused by the block size, before the proposal cap builds (n-1)!
         self.guard(monkeypatch, math, "factorial", 1000)
         code, out, err = run(["measure", "--n", n, "--samples", "1"], capsys)
         self.assert_refused(code, out, err)
-        assert "proposals" in err
+        assert "coordinates per block" in err
 
     def test_histogram_cap_builds_no_power(self, capsys, monkeypatch):
         check = measure.measure_preservation_check
@@ -645,7 +672,7 @@ class TestByteIdentity:
         )
 
     def test_measure_n8_csv_and_summary(self, capsys, tmp_path):
-        # n = 8: about one proposal in a hundred is accepted
+        # n = 8: the parking sampler, pinned when it replaced rejection there
         dest = tmp_path / "h.csv"
         code, out, _ = run(
             ["measure", "--n", "8", "--map", "dinv-area", "--samples", "2000", "--seed", "3",
@@ -654,10 +681,10 @@ class TestByteIdentity:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
-            "7f9225932c88770b65e4651c0f420e152cf75b2a59ba90efcfb92269931b1475"
+            "8c02682d38efaf57768cb3dc303604486d070fca4e3e91607bc755a3f358d82d"
         )
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cd2644ec10f012b6d2f70b423a56d56a1b4863767e3728d2d541eb7005bee5a2"
+            "b754bd7efd3811fc751afaf29bb07fc770448f4885a755ac8636e6aa770253a2"
         )
 
     def test_measure_csv_over_many_blocks(self, capsys, tmp_path):

@@ -165,6 +165,32 @@ def _sample_oracle(n, count, seed, rows):
     return points, proposed, accepted
 
 
+def _park_oracle(y):
+    """The cyclic lemma by brute force: for each row of y in [0, n)^(n-1), the
+    one shift c in {0, ..., n-1} whose floors (floor(y_j) + c) mod n, sorted,
+    form a parking function (the k-th smallest at most k, from 0), and then
+    a_i = i - x_i for the i-th smallest x of (y + c) mod n, in Fractions and
+    rounded once."""
+    n = y.shape[1] + 1
+    out = np.empty_like(y)
+    for r, row in enumerate(y.tolist()):
+        floors = [math.floor(v) for v in row]
+        shifts = [c for c in range(n)
+                  if all(s <= k for k, s in enumerate(sorted((f + c) % n for f in floors)))]
+        assert len(shifts) == 1, (row, shifts)
+        c = shifts[0]
+        x = sorted(F(v) + c - n * (f + c >= n) for f, v in zip(floors, row))
+        out[r] = [float(i - xi) for i, xi in enumerate(x, start=1)]
+    return out
+
+
+def _parking_oracle(n, count, seed):
+    """The (count, n) zero-prefixed points of a parking SampleStream: all the
+    doubles from one rng.random call, scaled by n, through _park_oracle."""
+    y = np.random.default_rng(seed).random((count, n - 1)) * n
+    return np.hstack([np.zeros((count, 1)), _park_oracle(y)])
+
+
 def _histogram2d_oracle(points, map_choice, grid):
     """Cells and total weight of the pushforward histogram as it was once
     made: whole-array kernels over all the points and one np.histogram2d."""
@@ -191,6 +217,17 @@ def box_proposals(draw):
                             st.floats(0.0, float(i))) for i in range(1, n)]
     rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=20))
     return np.array(rows, dtype=float).reshape(len(rows), n - 1)
+
+
+@st.composite
+def parking_inputs(draw):
+    """Rows of y in [0, n)^(n-1), n = 2..9, with integer values and ties: each
+    value comes from a small pool shared by the rows, or is fresh."""
+    n = draw(st.integers(2, 9))
+    value = st.one_of(st.integers(0, n - 1).map(float), st.floats(0.0, float(n), exclude_max=True))
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    row = st.lists(st.one_of(st.sampled_from(pool), value), min_size=n - 1, max_size=n - 1)
+    return np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=float).reshape(-1, n - 1)
 
 
 @st.composite
@@ -286,10 +323,11 @@ class TestSampling:
         monkeypatch.setattr(measure, "_BLOCK_ROWS", rows)
         assert np.array_equal(sample_area_polytope(n, 30000, seed=5), default)
 
-    @given(n=st.integers(2, 9), count=st.integers(1, 40), rows=st.sampled_from([7, 64, 1000]),
+    # the rejection range; TestParking covers n >= 7
+    @given(n=st.integers(2, 6), count=st.integers(1, 40), rows=st.sampled_from([7, 64, 1000]),
            seed=st.integers(0, 2**32 - 1), on_boundary=st.booleans(), as_generator=st.booleans())
     @example(n=2, count=21, rows=7, seed=0, on_boundary=False, as_generator=True)
-    @example(n=9, count=40, rows=7, seed=1, on_boundary=True, as_generator=True)
+    @example(n=6, count=40, rows=7, seed=1, on_boundary=True, as_generator=True)
     @settings(deadline=None, max_examples=60)
     def test_matches_pre_block_reuse_loop(self, n, count, rows, seed, on_boundary, as_generator):
         if on_boundary:  # the last row taken is the last row its block accepted
@@ -308,7 +346,7 @@ class TestSampling:
         if as_generator:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @given(n=st.integers(2, 7), count=st.integers(1, 300), sizes=st.sampled_from([(7, 64), (64, 7)]),
+    @given(n=st.integers(2, 6), count=st.integers(1, 300), sizes=st.sampled_from([(7, 64), (64, 7)]),
            seed=st.integers(0, 2**32 - 1), map_choice=st.sampled_from(["dinv-area", "area-bounce"]))
     @example(n=2, count=300, sizes=(64, 7), seed=0, map_choice="area-bounce")
     @example(n=5, count=300, sizes=(7, 64), seed=0, map_choice="dinv-area")
@@ -351,11 +389,77 @@ class TestSampling:
     def test_budget_checked_before_drawing(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        # about 5.6e10 proposals; 8e7 coordinates (memory)
-        for n, count in [(20, 1), (4, 20_000_000)]:
+        # 4.1e8 coordinates in one block; 8e7 coordinates (memory)
+        for n, count in [(100_000, 1), (4, 20_000_000)]:
             with pytest.raises(BudgetExceededError):
                 sample_area_polytope(n, count, rng)
             assert rng.bit_generator.state == state
+
+    def test_caps_at_their_bounds(self):
+        # rejection: ((n-1)!)^2 / n^(n-2) = 14400 / 1296 proposals per point at n = 6;
+        # parking: one per point; a block of 4096 rows: at most 2^22 coordinates
+        for n, most in [(6, 900_000_000), (7, 10**10), (40, 10**10)]:
+            SampleStream(n, most, 0)
+            with pytest.raises(BudgetExceededError, match="10,000,000,000 proposals"):
+                SampleStream(n, most + 1, 0)
+        SampleStream(1024, 1, 0)
+        with pytest.raises(BudgetExceededError, match="4,194,304 coordinates per block"):
+            SampleStream(1025, 1, 0)
+
+
+class TestParking:
+    """The parking sampler of SampleStream for n >= 7: the cyclic-lemma map
+    against brute force, its rows, and the law they follow."""
+
+    @given(parking_inputs())
+    @example(np.zeros((1, 6)))
+    @example(np.full((1, 6), 6.0))
+    @example(np.array([[3.0, 3.0, 3.0], [np.nextafter(4.0, 0.0), 0.0, 1.0]]))
+    @settings(max_examples=300)
+    def test_shift_matches_brute_force(self, y):
+        expected = _park_oracle(y)
+        got = measure._park(y.copy(), np.empty_like(y))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [7, 8, 12, 40])
+    def test_rows_lie_in_polytope(self, n):
+        stream = SampleStream(n, 20000, n)
+        points = _drain(stream)
+        assert points.shape == (20000, n) and np.all(points[:, 0] == 0.0)
+        assert np.all((points >= 0.0) & (points <= np.arange(n)))
+        assert measure._accept_mask(points).all()
+        assert stream.proposed == stream.accepted == 20000 and stream.acceptance_ratio == 1.0
+
+    @pytest.mark.parametrize("staging", [7, 4096])
+    @pytest.mark.parametrize("n,count", [(7, 1), (8, 300), (9, 4097)])
+    def test_stream_matches_oracle(self, n, count, staging, monkeypatch):
+        # the rows do not depend on the block size, nor on how the last block is cut
+        monkeypatch.setattr(measure, "_KERNEL_ROWS", staging)
+        stream = SampleStream(n, count, count)
+        blocks = [rows.copy() for rows in stream.blocks()]
+        assert [len(rows) for rows in blocks[:-1]] == [staging] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == _parking_oracle(n, count, count).tobytes()
+
+    @pytest.mark.parametrize("n", [7, 8, 10, 12])
+    def test_mean_area_is_ramanujan_q(self, n):
+        # E[area] = (n/2)(Q(n) - 1), Q(n) = sum_{k=1}^{n} n! / ((n-k)! n^k)
+        q = sum(F(math.factorial(n), math.factorial(n - k) * n**k) for k in range(1, n + 1))
+        exact = F(n, 2) * (q - 1)
+        area = np.concatenate([batch_area(rows) for rows in SampleStream(n, 200_000, 7 * n).blocks()])
+        se = area.std() / math.sqrt(area.size)
+        assert abs(area.mean() - float(exact)) < 5 * se
+
+    @pytest.mark.parametrize("map_choice", ["dinv-area", "area-bounce"])
+    def test_law_at_noise_floor(self, map_choice):
+        # multinomial cell counts: E|c - Np| ~ sqrt(2 Np(1-p) / pi), Var|c - Np| <= Np(1-p)
+        n, count, grid = 7, 100_000, (8, 8)
+        exact = limit_cell_integrals(n, grid)
+        hist = pushforward_histogram(SampleStream(n, count, 11), map_choice, grid)
+        vol = float(polytope_volume(n))
+        p = exact.cells / vol
+        var = count * p * (1 - p)
+        floor = (np.sqrt(2 * var / math.pi).sum() + 5 * math.sqrt(var.sum())) * vol / count
+        assert l1_distance(hist, exact) < floor
 
 
 class TestBatchKernels:
