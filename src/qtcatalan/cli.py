@@ -9,6 +9,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -121,8 +122,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         raise ValueError(f"measure needs a square grid, got {args.grid[0]}x{args.grid[1]}")
     stream = measure.SampleStream(args.n, args.samples, args.seed)
     # opened (and truncated) after the caps but before drawing, so a bad path wastes no work
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         hist = measure.pushforward_histogram(stream, args.map, args.grid)
         summary = {
             "n": args.n,
@@ -139,9 +139,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
             exact = measure.density_n4_cell_integrals(args.grid)
             summary["l1_to_exact_density"] = measure.l1_distance(hist, exact)
         out.write(hist.to_csv())
-    finally:
-        if out is not sys.stdout:
-            out.close()
     sys.stdout.write(_dump_json(summary))
     return EXIT_OK
 

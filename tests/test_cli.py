@@ -218,6 +218,7 @@ class TestStreamedMeasure:
         (["measure", "--n", "4", "--samples", "10000000000"], "proposals"),
         (["preserve", "--n", "9"], "histogram cells"),
         (["measure", "--n", "10000000", "--samples", "1"], "coordinates per block"),
+        (["measure", "--n", "513", "--samples", "1"], "coordinates per block"),
     ])
     def test_refused_before_drawing(self, argv, text, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -244,6 +245,14 @@ class TestStreamedMeasure:
         summary = json.loads(out)
         assert code == EXIT_OK and summary["acceptance_ratio"] == 1.0
         assert summary["total_weight"] == float(measure.polytope_volume(20))
+
+    def test_largest_admitted_n_runs(self, capsys):
+        # the block cap's last n; vol(A_n), which weights every cell, is a float up to n = 720
+        n = measure._MAX_BLOCK_COORDINATES // measure._KERNEL_ROWS
+        code, out, err = run(["measure", "--n", str(n), "--samples", "1", "--out", os.devnull], capsys)
+        summary = json.loads(out)
+        assert code == EXIT_OK and err == "" and summary["n"] == n == 512
+        assert summary["total_weight"] == float(measure.polytope_volume(n))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
     @pytest.mark.parametrize("argv", [

@@ -346,15 +346,20 @@ class TestSampling:
         if as_generator:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @given(n=st.integers(2, 6), count=st.integers(1, 300), sizes=st.sampled_from([(7, 64), (64, 7)]),
+    @given(n=st.integers(2, 7), count=st.integers(1, 300), sizes=st.sampled_from([(7, 64), (64, 7)]),
            seed=st.integers(0, 2**32 - 1), map_choice=st.sampled_from(["dinv-area", "area-bounce"]))
     @example(n=2, count=300, sizes=(64, 7), seed=0, map_choice="area-bounce")
     @example(n=5, count=300, sizes=(7, 64), seed=0, map_choice="dinv-area")
+    @example(n=7, count=300, sizes=(64, 7), seed=0, map_choice="area-bounce")
     @settings(deadline=None, max_examples=60)
     def test_stream_matches_oracle_with_small_buffers(self, n, count, sizes, seed, map_choice):
-        # (7, 64): many rounds fill one staging buffer; (64, 7): one round fills several
+        # (7, 64): many rounds fill one staging buffer; (64, 7): one round fills several.
+        # From _PARKING_FROM_N on, rounds play no part and every draw is kept.
         rounds, staging = sizes
-        points, proposed, accepted = _sample_oracle(n, count, seed, rounds)
+        if n < measure._PARKING_FROM_N:
+            points, proposed, accepted = _sample_oracle(n, count, seed, rounds)
+        else:
+            points, proposed, accepted = _parking_oracle(n, count, seed), count, count
         cells, total_weight = _histogram2d_oracle(points, map_choice, (9, 9))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure, "_BLOCK_ROWS", rounds)
@@ -397,14 +402,16 @@ class TestSampling:
 
     def test_caps_at_their_bounds(self):
         # rejection: ((n-1)!)^2 / n^(n-2) = 14400 / 1296 proposals per point at n = 6;
-        # parking: one per point; a block of 4096 rows: at most 2^22 coordinates
+        # parking: one per point; a block of 4096 rows: at most 2^21 coordinates
         for n, most in [(6, 900_000_000), (7, 10**10), (40, 10**10)]:
             SampleStream(n, most, 0)
             with pytest.raises(BudgetExceededError, match="10,000,000,000 proposals"):
                 SampleStream(n, most + 1, 0)
-        SampleStream(1024, 1, 0)
-        with pytest.raises(BudgetExceededError, match="4,194,304 coordinates per block"):
-            SampleStream(1025, 1, 0)
+        SampleStream(512, 1, 0)
+        with pytest.raises(BudgetExceededError, match="2,097,152 coordinates per block"):
+            SampleStream(513, 1, 0)
+        # every admitted n has a volume that a float holds (it overflows from n = 721)
+        assert math.isfinite(float(polytope_volume(512)))
 
 
 class TestParking:
