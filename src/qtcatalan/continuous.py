@@ -68,9 +68,6 @@ class ContinuousPath:
     def n(self) -> int:
         return len(self.area_vector)
 
-    def north_step_positions(self) -> tuple[Fraction, ...]:
-        return tuple(i - a for i, a in enumerate(self.area_vector))
-
 
 @dataclass(frozen=True)
 class BounceVector:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -28,34 +28,40 @@ __all__ = [
 _MAX_TERMS = 2**20  # most terms, and most table cells or path keys _count_pairs holds (8 MiB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QtPolynomial:
-    """Sparse bivariate polynomial keyed by (q-exponent, t-exponent)."""
+    """Sparse bivariate polynomial as read-only int64 rows (q-exponent, t-exponent, coeff) with
+    zeros dropped, sorted t-major then q: for distinct exponents, equal means equal arrays."""
 
-    coeffs: Mapping[tuple[int, int], int]
+    terms: np.ndarray
 
     def __post_init__(self) -> None:
-        pruned = {k: int(c) for k, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", pruned)
+        rows = np.asarray(self.terms, dtype=np.int64).reshape(-1, 3)
+        rows = rows[rows[:, 2] != 0]
+        rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
+        rows.flags.writeable = False
+        object.__setattr__(self, "terms", rows)
+
+    def __eq__(self, other):
+        return isinstance(other, QtPolynomial) and np.array_equal(self.terms, other.terms)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], int]:
+        """{(q, t): c}, built from terms on each read."""
+        return {(i, j): c for i, j, c in self.terms.tolist()}
 
     def evaluate(self, q: int | Fraction, t: int | Fraction):
-        return sum(c * q**i * t**j for (i, j), c in self.coeffs.items())
-
-    def canonical_terms(self) -> list[tuple[int, int, int]]:
-        """Terms as (q, t, coeff), sorted t-major then q."""
-        return [(i, j, self.coeffs[(i, j)]) for j, i in sorted((j, i) for i, j in self.coeffs)]
+        return sum(c * q**i * t**j for i, j, c in self.terms.tolist())
 
     def to_json_dict(self, n: int, m: int) -> dict:
         return {
             "n": n,
             "m": m,
-            "terms": [{"q": i, "t": j, "c": str(c)} for i, j, c in self.canonical_terms()],
+            "terms": [{"q": i, "t": j, "c": str(c)} for i, j, c in self.terms.tolist()],
         }
 
     def to_csv(self) -> str:
-        lines = ["q,t,coeff"]
-        lines += [f"{i},{j},{c}" for i, j, c in self.canonical_terms()]
-        return "\n".join(lines) + "\n"
+        return "q,t,coeff\n" + "".join(f"{i},{j},{c}\n" for i, j, c in self.terms.tolist())
 
 
 @dataclass(frozen=True)
@@ -81,22 +87,22 @@ def _count_pairs(
 
     _check_terms refuses first, and its answer picks the counter, so memory
     stays within _MAX_TERMS int64s: one (D + 1)^2 table when it fits, or else
-    the key x (D + 1) + y of each of the at most _MAX_TERMS paths, counted
-    once by np.unique.
+    the key y (D + 1) + x of each of the at most _MAX_TERMS paths, counted
+    once by np.unique.  Keys ascend, so the terms come out t-major then q.
     """
     width = m * n * (n - 1) // 2 + 1  # every statistic lies in [0, D]
     if _check_terms(n, m, budget):
         table = np.zeros(width * width, dtype=np.int64)
         for block in _area_vector_blocks(n, m):
             x, y = stats(block)
-            np.add.at(table, x * width + y, 1)
+            np.add.at(table, y * width + x, 1)
         keys = np.flatnonzero(table)
         counts = table[keys]
     else:
-        keys = np.concatenate([x * width + y for x, y in map(stats, _area_vector_blocks(n, m))])
+        keys = np.concatenate([y * width + x for x, y in map(stats, _area_vector_blocks(n, m))])
         keys, counts = np.unique(keys, return_counts=True)
-    q, t = divmod(keys, width)
-    return QtPolynomial(dict(zip(zip(q.tolist(), t.tolist()), counts.tolist())))
+    t, q = divmod(keys, width)
+    return QtPolynomial(np.column_stack((q, t, counts)))
 
 
 def _check_terms(n: int, m: int, budget: int | None) -> bool:
@@ -128,10 +134,9 @@ def qt_catalan_area_bounce(n: int, m: int, budget: int | None = None) -> QtPolyn
 
 
 def transpose(p: QtPolynomial) -> QtPolynomial:
-    return QtPolynomial({(j, i): c for (i, j), c in p.coeffs.items()})
+    return QtPolynomial(p.terms[:, [1, 0, 2]])
 
 
 def to_normalized_measure(p: QtPolynomial, n: int, m: int) -> DiscreteMeasure:
-    """Atoms at (i/m, j/m) with weight coeff / m^(n-1), in canonical order."""
-    atoms = np.array(p.canonical_terms(), dtype=np.int64).reshape(-1, 3)
-    return DiscreteMeasure(atoms, den=m, weight_den=m ** (n - 1))
+    """Atoms at (i/m, j/m) with weight coeff / m^(n-1): the terms themselves."""
+    return DiscreteMeasure(p.terms, den=m, weight_den=m ** (n - 1))

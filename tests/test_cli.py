@@ -640,6 +640,22 @@ class TestByteIdentity:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # at n = 3, m = 341 is the last m counted in the (D + 1)^2 table, m = 342 the first
+    # counted by the key list
+    def test_poly_csv_key_list(self, capsys):
+        code, out, _ = run(["poly", "--n", "3", "--m", "342", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f820db7b94f5d4665df4753b667ee19ceb2fd34a08fc72b79668b3a532d60fcd"
+        )
+
+    def test_converge_json_both_counters(self, capsys):
+        code, out, _ = run(["converge", "--n", "3", "--m-list", "341", "342"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9f031441e9df5bdbf997727d33a06e7ecad8565604e3157c70ed7a3b5296eb4c"
+        )
+
     def test_measure_csv(self, capsys, tmp_path):
         dest = tmp_path / "h.csv"
         code, _, _ = run(

@@ -81,7 +81,7 @@ def event_bounce_vector(p: ContinuousPath) -> BounceVector:
     window at b_i + 1" (lowering the speed).  Ties are resolved by taking the
     north step first, which pins the boundary case b_{i+1} = b_i + 1.
     """
-    targets = p.north_step_positions()
+    targets = [i - a for i, a in enumerate(p.area_vector)]  # the north-step positions x_j
     n = p.n
     b: list[F] = []
     t = F(0)

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,33 +27,52 @@ polys = st.dictionaries(
     st.tuples(st.integers(0, 8), st.integers(0, 8)),
     st.integers(1, 10**12),
     max_size=12,
-).map(QtPolynomial)
+).map(lambda d: QtPolynomial([(i, j, c) for (i, j), c in d.items()]))
 
 
 class TestPolynomialBasics:
     def test_zero_pruning(self):
-        p = QtPolynomial({(0, 0): 1, (1, 2): 0})
+        p = QtPolynomial([(0, 0, 1), (1, 2, 0)])
         assert p.coeffs == {(0, 0): 1}
 
     def test_equality_is_structural(self):
-        assert QtPolynomial({(1, 0): 1, (0, 1): 1}) == QtPolynomial({(0, 1): 1, (1, 0): 1})
+        assert QtPolynomial([(1, 0, 1), (0, 1, 1)]) == QtPolynomial([(0, 1, 1), (1, 0, 1)])
 
     def test_transpose_swaps_exponents(self):
-        assert transpose(QtPolynomial({(2, 1): 1})) == QtPolynomial({(1, 2): 1})
+        assert transpose(QtPolynomial([(2, 1, 1)])) == QtPolynomial([(1, 2, 1)])
 
     @given(polys)
     def test_transpose_involution(self, p):
         assert transpose(transpose(p)) == p
 
     def test_canonical_order_t_major(self):
-        p = QtPolynomial({(0, 1): 2, (1, 0): 3, (0, 0): 1})
-        assert p.canonical_terms() == [(0, 0, 1), (1, 0, 3), (0, 1, 2)]
+        p = QtPolynomial([(0, 1, 2), (1, 0, 3), (0, 0, 1)])
+        assert p.terms.tolist() == [[0, 0, 1], [1, 0, 3], [0, 1, 2]]
+
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), st.integers(0, 10**12), max_size=12),
+        st.data(),
+    )
+    def test_rows_become_canonical_terms(self, reference, data):
+        # rows in random order, zero coefficients among them, against a dict reference
+        rows = data.draw(st.permutations([(i, j, c) for (i, j), c in reference.items()]))
+        p = QtPolynomial(rows)
+        nonzero = {k: c for k, c in reference.items() if c != 0}
+        t_major = sorted(nonzero, key=lambda k: (k[1], k[0]))
+        assert p.terms.tolist() == [[i, j, nonzero[i, j]] for i, j in t_major]
+        assert p.terms.dtype == np.int64 and p.terms.shape == (len(nonzero), 3)
+        assert p.coeffs == nonzero
+
+    def test_terms_are_read_only(self):
+        p = qt_catalan_dinv_area(3, 2)
+        with pytest.raises(ValueError):
+            p.terms[0, 2] = 7
 
     def test_json_round_trip(self):
         p = qt_catalan_dinv_area(4, 2)
         data = json.loads(json.dumps(p.to_json_dict(4, 2)))
         assert data["n"] == 4 and data["m"] == 2
-        assert QtPolynomial({(term["q"], term["t"]): int(term["c"]) for term in data["terms"]}) == p
+        assert QtPolynomial([(term["q"], term["t"], int(term["c"])) for term in data["terms"]]) == p
 
     def test_csv(self):
         csv = qt_catalan_dinv_area(2, 1).to_csv()
@@ -61,12 +81,12 @@ class TestPolynomialBasics:
 
 class TestCatalanPolynomials:
     def test_n2_m1(self):
-        assert qt_catalan_dinv_area(2, 1) == QtPolynomial({(1, 0): 1, (0, 1): 1})
-        assert qt_catalan_area_bounce(2, 1) == QtPolynomial({(1, 0): 1, (0, 1): 1})
+        assert qt_catalan_dinv_area(2, 1) == QtPolynomial([(1, 0, 1), (0, 1, 1)])
+        assert qt_catalan_area_bounce(2, 1) == QtPolynomial([(1, 0, 1), (0, 1, 1)])
 
     def test_height_one(self):
-        assert qt_catalan_dinv_area(1, 5) == QtPolynomial({(0, 0): 1})
-        assert qt_catalan_area_bounce(1, 1) == QtPolynomial({(0, 0): 1})
+        assert qt_catalan_dinv_area(1, 5) == QtPolynomial([(0, 0, 1)])
+        assert qt_catalan_area_bounce(1, 1) == QtPolynomial([(0, 0, 1)])
 
     def test_value_at_one_one(self):
         assert qt_catalan_dinv_area(4, 1).evaluate(1, 1) == 14
@@ -183,5 +203,9 @@ class TestNormalizedMeasure:
         # one atom per term, in canonical order: no location repeats
         p = qt_catalan_dinv_area(4, 3)
         atoms = to_normalized_measure(p, 4, 3).atoms
-        assert [tuple(row) for row in atoms.tolist()] == list(p.canonical_terms())
+        assert atoms.tolist() == p.terms.tolist()
         assert len({(i, j) for i, j, _ in atoms.tolist()}) == len(p.coeffs)
+
+    def test_atoms_are_the_terms(self):
+        p = qt_catalan_dinv_area(4, 5)
+        assert np.shares_memory(to_normalized_measure(p, 4, 5).atoms, p.terms)
