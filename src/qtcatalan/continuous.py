@@ -11,6 +11,7 @@ here is exact: statistics of rational inputs are rational outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -98,13 +99,17 @@ def area(p: ContinuousPath) -> Fraction:
     return sum(p.area_vector, start=Fraction(0))
 
 
+def _over_lcm(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """The integers L v for the least common denominator L of the values, and L;
+    sc(v - w) = max(L - |L v - L w|, 0) / L."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def dinv(p: ContinuousPath) -> Fraction:
-    av = p.area_vector
-    total = Fraction(0)
-    for i in range(len(av)):
-        for j in range(i + 1, len(av)):
-            total += sc(av[i] - av[j])
-    return total
+    """sum_{i<j} sc(a_i - a_j), added in ints."""
+    a, den = _over_lcm(p.area_vector)
+    return Fraction(sum(max(den - abs(x - y), 0) for i, x in enumerate(a) for y in a[i + 1:]), den)
 
 
 def bounce_vector(p: ContinuousPath) -> BounceVector:
@@ -151,13 +156,10 @@ def bounce(p: ContinuousPath) -> Fraction:
 
 
 def area_vector_from_bounce(bv: BounceVector) -> ContinuousPath:
-    """The unique path with bounce vector bv: a_j = sum_{i<j} sc(b_j - b_i)."""
-    b = bv.b
-    av = [
-        sum((sc(b[j] - b[i]) for i in range(j)), start=Fraction(0))
-        for j in range(len(b))
-    ]
-    return ContinuousPath(av)
+    """The unique path with bounce vector bv: a_j = sum_{i<j} sc(b_j - b_i), added in ints."""
+    b, den = _over_lcm(bv.b)
+    return ContinuousPath([Fraction(sum(max(den - abs(x - y), 0) for y in b[:j]), den)
+                           for j, x in enumerate(b)])
 
 
 def transform_T(p: ContinuousPath) -> ContinuousPath:

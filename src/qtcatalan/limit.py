@@ -1,4 +1,4 @@
-"""Exact terms of the limit measure mu_n, one fixed-point term per partition.
+"""The limit measure mu_n exactly: its CDF, one fixed-point term per partition, and its cells.
 
 mu_n is a Duistermaat-Heckman measure (the paper's geometric theorem), so its
 Laplace transform sums over the partitions mu of n, the torus-fixed monomial
@@ -14,7 +14,9 @@ u^(n+1) with poles r0 = (l+1)/a and l/(a+1), all >= 0, and each partial-fraction
 term A / ((s - r0 u)^j u^(n+1-j)) transforms the cone function
 A t1^(j-1) t2^(n-j) / ((j-1)! (n-j)!) on t1 = x - n(mu') >= 0 and
 t2 = y - n(mu) + r0 t1 >= 0.  All terms converge on s > max(r0) u > 0.
-Pure int and Fraction arithmetic.
+
+cell_masses evaluates F in Python ints (numpy object arrays) at grid corners, so
+each cell mass is one int / int; only this module reads the cone format.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-__all__ = ["cdf_cones"]
+import numpy as np
+
+__all__ = ["cdf_cones", "cell_masses"]
+
+_STRIP_CORNERS = 1 << 16  # grid corners per column strip of the corner lattice (memory)
 
 Cone = tuple[int, int, Fraction]  # (x0, y0, r0) = (n(mu'), n(mu), pole)
 
@@ -84,3 +90,50 @@ def cdf_cones(n: int) -> dict[Cone, list[Fraction]]:
                     coeffs = cones.setdefault((x0, y0, r0), [Fraction(0)] * n)
                     coeffs[n - j] += n * g[mult - j] / (lead * math.factorial(j - 1) * math.factorial(n - j))
     return cones
+
+
+def _check_grid(resolution: Sequence[int]) -> None:
+    if min(resolution) < 1:
+        raise ValueError("grid sizes must be positive")
+
+
+def cell_masses(n: int, resolution: tuple[int, int]) -> tuple[np.ndarray, Fraction]:
+    """The floats nearest the masses of mu_n on the cx x cy cells of [0, D]^2,
+    D = n(n-1)/2, and the exact mass of that box.
+
+    F is evaluated at the corners (i, k) = (D i / cx, D k / cy), in column strips of
+    about _STRIP_CORNERS corners that share their edge rows.  For a cone (x0, y0, r0 =
+    p/q), T1 = D i - x0 cx = cx t1 and T2 = q cx (D k - y0 cy) + p cy T1 = q cx cy t2,
+    so its polynomial is an integer form in (T1, T2) over the lcm `scale` of all scaled
+    coefficients: Horner in T2 where t1 >= 0 and y >= y0 - r0 (D - x0), masked by
+    T2 >= 0.  A cell is the inclusion-exclusion of its corners over scale."""
+    _check_grid(resolution)
+    cx, cy = resolution
+    d = n * (n - 1) // 2
+    cones = {(x0, y0, r0): [c / (cx ** (n - 1 - e) * (r0.denominator * cx * cy) ** e)
+                            for e, c in enumerate(coeffs)]
+             for (x0, y0, r0), coeffs in cdf_cones(n).items()}
+    scale = math.lcm(*(c.denominator for coeffs in cones.values() for c in coeffs))
+    cells = np.empty(resolution)
+    width = max(1, _STRIP_CORNERS // (cy + 1))
+    for lo in range(0, cx, width):
+        hi = min(lo + width, cx)
+        rows = np.zeros((hi - lo + 1, cy + 1), dtype=object)
+        for (x0, y0, r0), coeffs in cones.items():
+            start = max(lo, -(-x0 * cx // d))
+            k0 = max(0, math.ceil((y0 - r0 * (d - x0)) * cy / d))
+            t1 = d * np.arange(start, hi + 1, dtype=np.int64)[:, None] - x0 * cx
+            t2 = (r0.denominator * cx * (d * np.arange(k0, cy + 1, dtype=np.int64) - y0 * cy)
+                  + r0.numerator * cy * t1)
+            big1, big2 = t1.astype(object), t2.astype(object)
+            ints = [int(c * scale) for c in coeffs]
+            acc = ints[-1]
+            for e in range(n - 2, -1, -1):
+                acc = acc * big2
+                if ints[e]:
+                    acc = acc + ints[e] * big1 ** (n - 1 - e)
+            rows[start - lo:, k0:] += np.where(t2 >= 0, acc, 0)
+        block = np.diff(np.diff(rows, axis=0), axis=1).tolist()
+        cells[lo:hi] = [[v / scale for v in row] for row in block]
+    # the last strip ends at the corner (D, D)
+    return cells, Fraction(rows[-1, -1], scale)

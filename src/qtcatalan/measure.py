@@ -2,13 +2,12 @@
 
 This is the floating-point layer of the library: uniform sampling of the
 area polytope, vectorized path statistics, 2D histograms of the pushforward
-measures, the exact cell masses of the limit measure mu_n at every n, and
-the two experiment drivers (convergence of normalized discrete measures,
-and invariance of the sampling measure under the sorting transform).
+and discrete measures, and the two experiment drivers (convergence of
+normalized discrete measures to limit.cell_masses, and invariance of the
+sampling measure under the sorting transform).
 
 Everything is seeded and byte-deterministic.  Volumes are exact rationals,
-and the limit cell masses are evaluated in integers from the partition sum
-of limit.py, with no float before the last division.
+and a binned discrete cell is its int64 coefficient sum divided once.
 
 SampleStream picks its sampler by n.  For n <= 6 it rejects uniform points
 of the box prod_i [0, i], which keeps at least 9 % of them.  For n >= 7,
@@ -33,6 +32,7 @@ import numpy as np
 
 from .discrete import BudgetExceededError, catalan_number_m
 from . import limit, qtpoly
+from .limit import _check_grid
 
 __all__ = [
     "SampleStream",
@@ -304,11 +304,6 @@ class Histogram2D:
         return float(np.abs(self.cells - self.cells.T).sum())
 
 
-def _check_grid(resolution: Sequence[int]) -> None:
-    if min(resolution) < 1:
-        raise ValueError("grid sizes must be positive")
-
-
 def default_bounds(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Support box [0, n(n-1)/2]^2 from the staircase maximum of the statistics."""
     hi = Fraction(n * (n - 1), 2)
@@ -378,28 +373,26 @@ def _add_counts(counts: np.ndarray, columns, his, cells) -> None:
     np.add.at(counts, flat[keep], 1)
 
 
-def bin_discrete_measure(
-    measure: qtpoly.DiscreteMeasure,
-    resolution: tuple[int, int],
-    n: int,
-) -> Histogram2D:
+def bin_discrete_measure(measure: qtpoly.DiscreteMeasure, resolution: tuple[int, int],
+                         n: int) -> Histogram2D:
     """Bin the atoms onto the grid over default_bounds(n) with exact integer
-    cell indices.
-
-    Cells are half-open on the right except the last cell, which is closed, so
-    atoms on the outer boundary are retained.  Each weight is the float
-    nearest c / weight_den, and the weights are summed in atom order.
-    """
+    cell indices, half-open except the last, closed cell, which keeps the atoms
+    on the outer boundary.  The coefficients are added per cell in int64, and
+    each cell and the total is one int / int: the float nearest its exact mass.
+    Raises ValueError, before adding, when the sum could pass int64."""
     _check_grid(resolution)
     hi = int(default_bounds(n)[1])
     cx, cy = resolution
     i = _cell_index(measure.atoms[:, 0], measure.den, hi, cx)
     j = _cell_index(measure.atoms[:, 1], measure.den, hi, cy)
     keep = (i >= 0) & (j >= 0)
-    weights = np.array([c / measure.weight_den for c in measure.atoms[keep, 2].tolist()], dtype=float)
-    cells = np.bincount(i[keep] * cy + j[keep], weights=weights, minlength=cx * cy)
-    total = float(np.cumsum(weights)[-1]) if weights.size else 0.0  # sequential, as the cells
-    return Histogram2D(n=n, cells=cells.reshape(resolution), total_weight=total)
+    c = measure.atoms[keep, 2]
+    if int(np.abs(c).max(initial=0)) * c.size >= 2**63:
+        raise ValueError("atom coefficients too large for int64 cell sums")
+    sums = np.zeros(cx * cy, dtype=np.int64)
+    np.add.at(sums, i[keep] * cy + j[keep], c)
+    cells = np.array([s / measure.weight_den for s in sums.tolist()]).reshape(resolution)
+    return Histogram2D(n=n, cells=cells, total_weight=int(sums.sum()) / measure.weight_den)
 
 
 def l1_distance(h1: Histogram2D, h2: Histogram2D) -> float:
@@ -408,62 +401,10 @@ def l1_distance(h1: Histogram2D, h2: Histogram2D) -> float:
     return float(np.abs(h1.cells - h2.cells).sum())
 
 
-# ---------------------------------------------------------------------------
-# Exact cell masses of the limit measure.
-
-_STRIP_CORNERS = 1 << 16  # grid corners per column strip of the corner lattice (memory)
-
-
-def _limit_cdf_strips(n: int, resolution: tuple[int, int]):
-    """Yield (lo, rows, scale) over strips of grid corners (i, k) = (D i / cx, D k / cy)
-    of default_bounds(n), D = n(n-1)/2: rows holds scale * F, as Python ints in
-    an object array, at lo <= i < lo + len(rows) and every k, where F is the
-    exact CDF of limit.cdf_cones.  Consecutive strips share a row of corners.
-
-    For a cone (x0, y0, r0 = p/q), T1 = D i - x0 cx = cx t1 and
-    T2 = q cx (D k - y0 cy) + p cy T1 = q cx cy t2, so its polynomial is an
-    integer form in (T1, T2) over the lcm of all scaled coefficients.  It is
-    evaluated by Horner in T2 on the corner block with t1 >= 0 and
-    y >= y0 - r0 (D - x0), masked by T2 >= 0.
-    """
-    cx, cy = resolution
-    d = n * (n - 1) // 2
-    cones = {(x0, y0, r0): [c / (cx ** (n - 1 - e) * (r0.denominator * cx * cy) ** e)
-                            for e, c in enumerate(coeffs)]
-             for (x0, y0, r0), coeffs in limit.cdf_cones(n).items()}
-    scale = math.lcm(*(c.denominator for coeffs in cones.values() for c in coeffs))
-    width = max(1, _STRIP_CORNERS // (cy + 1))
-    for lo in range(0, cx, width):
-        hi = min(lo + width, cx)
-        rows = np.zeros((hi - lo + 1, cy + 1), dtype=object)
-        for (x0, y0, r0), coeffs in cones.items():
-            start = max(lo, -(-x0 * cx // d))
-            k0 = max(0, math.ceil((y0 - r0 * (d - x0)) * cy / d))
-            t1 = d * np.arange(start, hi + 1, dtype=np.int64)[:, None] - x0 * cx
-            t2 = (r0.denominator * cx * (d * np.arange(k0, cy + 1, dtype=np.int64) - y0 * cy)
-                  + r0.numerator * cy * t1)
-            big1, big2 = t1.astype(object), t2.astype(object)
-            ints = [int(c * scale) for c in coeffs]
-            acc = ints[-1]
-            for e in range(n - 2, -1, -1):
-                acc = acc * big2
-                if ints[e]:
-                    acc = acc + ints[e] * big1 ** (n - 1 - e)
-            rows[start - lo:, k0:] += np.where(t2 >= 0, acc, 0)
-        yield lo, rows, scale
-
-
 def limit_cell_integrals(n: int, resolution: tuple[int, int]) -> Histogram2D:
-    """Exact per-cell masses of the limit measure mu_n over default_bounds(n).
-    Each cell is an inclusion-exclusion of the integer CDF corners divided by
-    their scale, a correctly rounded int / int: the float nearest the exact mass."""
-    _check_grid(resolution)
-    cells = np.empty(resolution)
-    for lo, rows, scale in _limit_cdf_strips(n, resolution):
-        block = np.diff(np.diff(rows, axis=0), axis=1).tolist()
-        cells[lo:lo + len(block)] = [[v / scale for v in row] for row in block]
-    # the last strip ends at the corner (D, D)
-    return Histogram2D(n=n, cells=cells, total_weight=rows[-1, -1] / scale)
+    """The exact cell masses of the limit measure mu_n, limit.cell_masses, as a Histogram2D."""
+    cells, total = limit.cell_masses(n, resolution)
+    return Histogram2D(n=n, cells=cells, total_weight=float(total))
 
 
 def density_n4_cell_integrals(resolution: tuple[int, int] = (60, 60)) -> Histogram2D:
@@ -473,8 +414,7 @@ def density_n4_cell_integrals(resolution: tuple[int, int] = (60, 60)) -> Histogr
 
 def density_n4_total_integral() -> Fraction:
     """Exact mass of the height-4 limit measure on its support box [0, 6]^2."""
-    _, rows, scale = next(_limit_cdf_strips(4, (1, 1)))
-    return Fraction(rows[-1, -1], scale)
+    return limit.cell_masses(4, (1, 1))[1]
 
 
 # ---------------------------------------------------------------------------

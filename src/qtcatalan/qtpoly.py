@@ -30,15 +30,18 @@ _MAX_TERMS = 2**20  # most terms, and most table cells or path keys _count_pairs
 
 @dataclass(frozen=True, eq=False)
 class QtPolynomial:
-    """Sparse bivariate polynomial as read-only int64 rows (q-exponent, t-exponent, coeff) with
-    zeros dropped, sorted t-major then q: for distinct exponents, equal means equal arrays."""
+    """Sparse bivariate polynomial as read-only int64 rows (q-exponent, t-exponent, coeff), sorted
+    t-major then q, repeated exponent pairs merged, then zeros dropped: equal means equal arrays."""
 
     terms: np.ndarray
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.terms, dtype=np.int64).reshape(-1, 3)
-        rows = rows[rows[:, 2] != 0]
         rows = rows[np.lexsort((rows[:, 0], rows[:, 1]))]
+        first = np.ones(len(rows), dtype=bool)  # the first row of each exponent pair
+        first[1:] = (rows[1:, 0] != rows[:-1, 0]) | (rows[1:, 1] != rows[:-1, 1])
+        rows[first, 2] = np.add.reduceat(rows[:, 2], np.flatnonzero(first))
+        rows = rows[first & (rows[:, 2] != 0)]
         rows.flags.writeable = False
         object.__setattr__(self, "terms", rows)
 

@@ -622,16 +622,16 @@ class TestByteIdentity:
         code, out, _ = run(["converge", "--n", "4", "--m-list", "3", "10", "50"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e8a2680f8bbe05f3200c90a1a1c081007781fc4a88e76cf45bad092f40d34077"
+            "88e005d6ee3f8f528a9dc7917b5ac20882bafeb20c1d0faf150f1ac5cf43f6d2"
         )
 
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--n", "4", "--m-list", "2", "9"],
-             "00d019a0aa38802c402091e9803e8cf654a01f560081a6a4696e8fd87ac5dde0"),
+             "e1915f7b22728bd497048ab3f0f5921cc165141f4c9816a242dfe61cfe876554"),
             (["--n", "3", "--m-list", "1", "7", "20"],
-             "9e546ee048102da100129a1b553fc009802d5b9f93f2f53c660adcf6b59f2d22"),
+             "4c39adf42ff84d4ac48443831d9f672e2864fc41c5e6da87fd77561aa5616125"),
         ],
     )
     def test_converge_json_non_square_grid(self, capsys, argv, digest):
@@ -653,7 +653,7 @@ class TestByteIdentity:
         code, out, _ = run(["converge", "--n", "3", "--m-list", "341", "342"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9f031441e9df5bdbf997727d33a06e7ecad8565604e3157c70ed7a3b5296eb4c"
+            "1c8b0ac04395ce3a65266a71dcf04063ec799357baa192404b47cf0b8ff5e215"
         )
 
     def test_measure_csv(self, capsys, tmp_path):

@@ -59,17 +59,17 @@ def bin_grids(draw):
 
 
 def _bin_with_fractions(mu, resolution, n):
-    """Reference binning: one Fraction location and weight per atom."""
+    """Reference binning: one Fraction location per atom, and each cell's exact
+    mass, and the total's, rounded once to a float."""
     _, hi, _, _ = default_bounds(n)
     cx, cy = resolution
-    cells = np.zeros(resolution)
-    total = 0.0
+    sums = np.zeros(resolution, dtype=object)
     for i, j, c in mu.atoms.tolist():
-        x, y, w = F(i, mu.den), F(j, mu.den), float(F(c, mu.weight_den))
+        x, y = F(i, mu.den), F(j, mu.den)
         if 0 <= x <= hi and 0 <= y <= hi:
-            cells[min(int(x * cx / hi), cx - 1), min(int(y * cy / hi), cy - 1)] += w
-            total += w
-    return cells, total
+            sums[min(int(x * cx / hi), cx - 1), min(int(y * cy / hi), cy - 1)] += c
+    cells = np.array([float(F(c, mu.weight_den)) for c in sums.ravel().tolist()])
+    return cells.reshape(resolution), float(F(int(sums.sum()), mu.weight_den))
 
 
 # The height-4 limit density, derived by hand: its support is the
@@ -629,9 +629,17 @@ class TestHistogram:
         resolution, n = grid
         h = bin_discrete_measure(mu, resolution, n)
         cells, total = _bin_with_fractions(mu, resolution, n)
-        assert np.array_equal(h.cells, cells)  # same floats, added in the same order
+        assert h.cells.tobytes() == cells.tobytes()  # every cell rounded once
         assert h.total_weight == total
         assert h.bounds == default_bounds(n)
+
+    @pytest.mark.parametrize("n, m", [(4, 60), (5, 20)])
+    def test_bin_real_polynomial_matches_fraction_binning(self, n, m):
+        mu = to_normalized_measure(qt_catalan_dinv_area(n, m), n, m)
+        h = bin_discrete_measure(mu, (60, 60), n)
+        cells, total = _bin_with_fractions(mu, (60, 60), n)
+        assert h.cells.tobytes() == cells.tobytes()
+        assert h.total_weight == total
 
     def test_bin_discrete_rejects_int64_overflow(self):
         # num * cells past 2**62 cannot be indexed in int64
@@ -639,6 +647,13 @@ class TestHistogram:
             bin_discrete_measure(_measure((1, 1, 1), den=2**60), (4, 4), 3)
         with pytest.raises(ValueError, match="int64"):
             bin_discrete_measure(_measure((2**61, 0, 1)), (2, 2), 3)
+
+    def test_bin_discrete_rejects_int64_coefficient_sums(self):
+        # two coefficients of 2**62 could sum past int64 in one cell; one of them cannot
+        h = bin_discrete_measure(_measure((0, 0, 2**62)), (2, 2), 3)
+        assert h.total_weight == 2.0**62
+        with pytest.raises(ValueError, match="int64"):
+            bin_discrete_measure(_measure((0, 0, 2**62), (3, 3, 2**62)), (2, 2), 3)
 
     def test_csv_shape(self):
         m = _measure((0, 0, 1))
@@ -758,8 +773,7 @@ def _table_moment(i, j):
 class TestLimitCells:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_support_box_mass_is_volume(self, n):
-        _, rows, scale = next(measure._limit_cdf_strips(n, (1, 1)))
-        assert F(rows[-1, -1], scale) == polytope_volume(n)
+        assert limit.cell_masses(n, (1, 1))[1] == polytope_volume(n)
 
     @pytest.mark.parametrize("n, grid", [(3, 9), (4, 13), (5, 10), (6, 7), (7, 12)])
     def test_nonnegative_and_symmetric(self, n, grid):
@@ -791,7 +805,7 @@ class TestLimitCells:
         # one makes consecutive strips share a row of corners
         grids = [(13, 7), (7, 13), (60, 60), (40, 1)]
         whole = {(n, g): limit_cell_integrals(n, g) for n in range(3, 7) for g in grids}
-        monkeypatch.setattr(measure, "_STRIP_CORNERS", corners)
+        monkeypatch.setattr(limit, "_STRIP_CORNERS", corners)
         for (n, g), h in whole.items():
             strips = limit_cell_integrals(n, g)
             assert np.array_equal(strips.cells.view(np.int64), h.cells.view(np.int64))

@@ -63,6 +63,26 @@ class TestPolynomialBasics:
         assert p.terms.dtype == np.int64 and p.terms.shape == (len(nonzero), 3)
         assert p.coeffs == nonzero
 
+    def test_repeated_exponents_merge_then_zeros_drop(self):
+        p = QtPolynomial([(0, 0, 1), (2, 1, 5), (0, 0, 2)])
+        assert p == QtPolynomial([(0, 0, 3), (2, 1, 5)])
+        assert p.terms.tolist() == [[0, 0, 3], [2, 1, 5]]
+        assert QtPolynomial([(1, 0, 1), (0, 2, 4), (1, 0, -1)]).terms.tolist() == [[0, 2, 4]]
+        assert QtPolynomial([(1, 0, 1), (1, 0, -1)]) == QtPolynomial([])
+
+    def test_empty(self):
+        p = QtPolynomial(np.empty((0, 3), dtype=np.int64))
+        assert p.terms.shape == (0, 3) and p.terms.dtype == np.int64
+        assert p.coeffs == {} and p.evaluate(1, 1) == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-5, 5)),
+                    max_size=20))
+    def test_rows_sum_per_exponent_pair(self, rows):
+        sums = Counter()
+        for i, j, c in rows:
+            sums[i, j] += c
+        assert QtPolynomial(rows).coeffs == {k: c for k, c in sums.items() if c != 0}
+
     def test_terms_are_read_only(self):
         p = qt_catalan_dinv_area(3, 2)
         with pytest.raises(ValueError):
